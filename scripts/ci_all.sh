@@ -2,8 +2,10 @@
 # One-command PR gate: chains every CI stage in cheapest-first order so a
 # broken build fails in seconds, not after the perf suite.
 #
-#   1. tier-1 ctest        (Debug build: functional + conformance suites,
-#                           including the adversarial-schedule litmus suite)
+#   1. tier-1 ctest        (default Release build with -Werror, so the build
+#                           stays warning-free: functional + conformance
+#                           suites, including the adversarial-schedule
+#                           litmus suite)
 #   2. ci_lint.sh          (clang-tidy over src/, skipped if not installed)
 #   3. ci_sanitize.sh      (ASan/UBSan over the full suite)
 #   4. ci_tsan.sh          (TSan over the real-thread tests; self-skipping
@@ -24,7 +26,7 @@ cd "$(dirname "$0")/.."
 jobs="$(nproc)"
 
 echo "=== [1/8] build + tier-1 ctest ==="
-cmake -B build -S . >/dev/null
+cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build -j "${jobs}" >/dev/null
 ctest --test-dir build --output-on-failure
 

@@ -15,13 +15,14 @@
 //   entry, so commit-time validation can tolerate value changes that keep
 //   the relation's outcome.
 //
-//   Commit: write orecs locked, then the global timestamp is advanced with
-//   CAS (not fetch-add) after compare-set validation — the CAS failure
-//   loop re-validates, which is the serialization-point argument of §5.2.
+//   Commit: TL2's own sequence — write orecs locked, write version wv
+//   drawn (GV4), then ONE compare-set pass against wv (commit_holds()),
+//   where Alg. 7 validates first and re-validates on every failed clock
+//   CAS. The drawn wv is the serialization point (DESIGN.md §4 item 4).
 //
 // Stl2Core is a sealed sibling of Tl2Core over the shared Tl2CoreT logic:
-// it shadows begin/commit/rollback and the raw() promotion hook and adds
-// the compare-set machinery — all statically bound.
+// it shadows begin() and the raw() and commit_holds() hooks, and adds the
+// compare-set machinery — all statically bound.
 #pragma once
 
 #include <cstdint>
@@ -51,11 +52,6 @@ class Stl2Core final : public Tl2CoreT<Stl2Core> {
   void begin() {
     compares_.clear();
     Tl2CoreT::begin();
-  }
-
-  void rollback() {
-    compares_.clear();
-    Tl2CoreT::rollback();
   }
 
   /// Alg. 7 Compare (lines 4-36).
@@ -142,42 +138,6 @@ class Stl2Core final : public Tl2CoreT<Stl2Core> {
     writes_.put_inc(addr, delta);
   }
 
-  /// Alg. 7 Commit (lines 66-77).
-  void commit() {
-    sched::tick(sched::Cost::kCommit);
-    if (writes_.empty()) {
-      compares_.clear();
-      finish();
-      return;
-    }
-    acquire_write_locks();
-    sched::sched_point();  // write orecs locked, clock not yet advanced
-    std::uint64_t time;
-    for (;;) {
-      time = shared_.clock().load();
-      // time + 1 == 0 would wrap the version clock (epoch end, tagged for
-      // the cause histogram's completeness).
-      if (time + 1 == 0) fail_locked(obs::AbortCause::kClockOverflow, nullptr);
-      // No waiting here: we hold write locks, and hold-and-wait across
-      // committers livelocks into timeout aborts. Fail fast instead —
-      // TL2's own ValidateReadSet makes the same choice.
-      if (time != start_version_ && !compare_set_holds(/*may_wait=*/false)) {
-        fail_locked(fail_cause_, conflict_, fail_orec_, fail_owner_);
-      }
-      if (shared_.clock().try_advance(time)) break;
-      // Another writer serialized between validation and CAS: its commit
-      // may flip a compare outcome, so validate again (lines 68-72).
-    }
-    sched::sched_point();  // serialization point taken, write-back pending
-    const std::uint64_t wv = time + 1;
-    if (time != start_version_ && !readset_holds()) {
-      fail_locked(fail_cause_, conflict_, fail_orec_, fail_owner_);
-    }
-    write_back(wv);
-    compares_.clear();
-    finish();
-  }
-
   /// RAW promotion: a buffered increment read back becomes a conventional
   /// read + write (read part via the consistent orec-checked read).
   /// Shadows the base hook; Tl2CoreT::read reaches it through self().
@@ -192,6 +152,40 @@ class Stl2Core final : public Tl2CoreT<Stl2Core> {
     return e->value;
   }
 
+  /// Commit validation hook (write locks held, wv drawn; TL2's read-set
+  /// check of the phase-2 plain reads follows): one compare-set pass. A
+  /// clause whose operand orecs are all unmoved loads nothing; otherwise
+  /// it is re-evaluated on operands loaded as of wv (stamped ≥ wv fails).
+  bool commit_holds(std::uint64_t wv) {
+    obs::ScopedLatency lat(stats.lat_validate);
+    ++stats.validations;
+    for (const auto clause : compares_) {
+      sched::tick(sched::Cost::kValidateEntry);
+      ++stats.validate_entries;
+      bool skip = true;
+      for (unsigned i = 0; i < clause.count() && skip; ++i) {
+        const ReadEntry& t = clause.row(i);
+        skip = unmoved(t.addr) && unmoved(t.rhs_addr);
+      }
+      if (skip) continue;
+      bool v = false;
+      for (unsigned i = 0; i < clause.count() && !v; ++i) {
+        const ReadEntry& t = clause.row(i);
+        word_t lhs = 0;
+        word_t rhs = t.operand;
+        if (!load_at(t.addr, wv - 1, lhs) ||
+            (t.rhs_addr != nullptr && !load_at(t.rhs_addr, wv - 1, rhs))) {
+          return false;
+        }
+        v = eval(t.rel, lhs, rhs);
+      }
+      if (v != clause.expected()) {
+        return note_conflict(obs::AbortCause::kCmpRevalidation, clause.addr());
+      }
+    }
+    return true;
+  }
+
  private:
   /// Phase-aware consistent load for cmp operands. In phase 1 (empty
   /// read-set) locked orecs and version changes are retried/waited, and a
@@ -200,8 +194,8 @@ class Stl2Core final : public Tl2CoreT<Stl2Core> {
   /// orec read-set (the semantic entry subsumes it).
   word_t read_for_cmp(const tword* addr) {
     phase1_pending_extend_ = false;
-    Orec& o = shared_.orecs().of(addr);
     if (reads_.empty()) {  // Phase 1 (lines 10-25)
+      Orec& o = shared_.orecs().of(addr);
       for (;;) {
         const std::uint64_t v1 = o.version.load(std::memory_order_acquire);
         if (o.locked_by_other(this)) {
@@ -222,22 +216,36 @@ class Stl2Core final : public Tl2CoreT<Stl2Core> {
       }
     }
     // Phase 2 (lines 26-34): frozen snapshot, TL2-style checks.
-    const std::uint64_t v1 = o.version.load(std::memory_order_acquire);
-    if (o.locked_by_other(this)) {
-      abort_tx(obs::AbortCause::kWriteLockConflict, addr, orec_ix(&o),
-               o.owner_hint());
-    }
-    const word_t val = addr->load(std::memory_order_acquire);
-    if (o.locked_by_other(this)) {
-      abort_tx(obs::AbortCause::kWriteLockConflict, addr, orec_ix(&o),
-               o.owner_hint());
-    }
-    const std::uint64_t v2 = o.version.load(std::memory_order_acquire);
-    if (v1 != v2 || v1 > start_version_) {
-      abort_tx(obs::AbortCause::kReadValidation, addr, orec_ix(&o),
-               o.owner_hint());
+    word_t val = 0;
+    if (!load_at(addr, start_version_, val)) {
+      abort_tx(fail_cause_, conflict_, fail_orec_, fail_owner_);
     }
     return val;
+  }
+
+  /// Version/owner/value/owner/version sandwich admitting only a value
+  /// stamped at or below `bound`; on failure fail_* carry the attribution.
+  bool load_at(const tword* addr, std::uint64_t bound, word_t& out) {
+    const Orec& o = shared_.orecs().of(addr);
+    const std::uint64_t v1 = o.version.load(std::memory_order_acquire);
+    const bool free_before = !o.locked_by_other(this);
+    out = addr->load(std::memory_order_acquire);
+    if (!free_before || o.locked_by_other(this)) {
+      return note_conflict(obs::AbortCause::kWriteLockConflict, addr);
+    }
+    const std::uint64_t v2 = o.version.load(std::memory_order_acquire);
+    return (v1 == v2 && v1 <= bound) ||
+           note_conflict(obs::AbortCause::kReadValidation, addr);
+  }
+
+  /// Commit-time skip test: no other writer can have changed the word
+  /// since the snapshot (its orec is free and not newer than it). A null
+  /// operand (a term with an immediate right-hand side) is unmoved.
+  bool unmoved(const tword* addr) {
+    if (addr == nullptr) return true;
+    const Orec& o = shared_.orecs().of(addr);
+    return !o.locked_by_other(this) &&
+           o.version.load(std::memory_order_acquire) <= start_version_;
   }
 
   /// Lines 19-25: validate the compare-set at a stable timestamp, then
@@ -246,7 +254,7 @@ class Stl2Core final : public Tl2CoreT<Stl2Core> {
     phase1_pending_extend_ = false;
     for (;;) {
       const std::uint64_t time = shared_.clock().load();
-      if (!compare_set_holds(/*may_wait=*/true)) {
+      if (!compare_set_holds()) {
         abort_tx(fail_cause_, conflict_, fail_orec_, fail_owner_);
       }
       if (time == shared_.clock().load()) {
@@ -257,14 +265,14 @@ class Stl2Core final : public Tl2CoreT<Stl2Core> {
     }
   }
 
-  /// Alg. 7 ValidateCompareSet (lines 56-65) as a predicate: semantic
-  /// revalidation. A locked orec means a writer may be mid-write-back, so
-  /// the entry cannot be evaluated: wait it out (bounded, §4.2's timeout
-  /// mechanism) when we hold no locks ourselves, fail fast otherwise.
-  /// On failure fail_cause_/conflict_ carry the attribution: a stuck lock
-  /// is a write-lock conflict, a flipped outcome a compare-set
+  /// Alg. 7 ValidateCompareSet (lines 56-65) as a predicate, for phase-1
+  /// extension: semantic revalidation. A locked orec means a writer may be
+  /// mid-write-back, so the entry cannot be evaluated: wait it out
+  /// (bounded, §4.2's timeout mechanism — the execution phase holds no
+  /// locks). On failure fail_cause_/conflict_ carry the attribution: a
+  /// stuck lock is a write-lock conflict, a flipped outcome a compare-set
   /// revalidation failure — the signature abort of the semantic design.
-  bool compare_set_holds(bool may_wait) {
+  bool compare_set_holds() {
     obs::ScopedLatency lat(stats.lat_validate);
     ++stats.validations;
     for (const auto clause : compares_) {
@@ -272,50 +280,40 @@ class Stl2Core final : public Tl2CoreT<Stl2Core> {
       ++stats.validate_entries;
       for (unsigned i = 0; i < clause.count(); ++i) {
         const ReadEntry& term = clause.row(i);
-        if (!wait_unlocked(term.addr, may_wait)) {
-          note_cmp_lock_conflict(term.addr);
-          return false;
-        }
-        if (term.rhs_addr != nullptr &&
-            !wait_unlocked(term.rhs_addr, may_wait)) {
-          note_cmp_lock_conflict(term.rhs_addr);
+        if (!wait_unlocked(term.addr) ||
+            (term.rhs_addr != nullptr && !wait_unlocked(term.rhs_addr))) {
           return false;
         }
       }
-      if (!clause.holds()) {  // semantic validation (line 63-64)
-        // No single orec: the flip is a property of the clause's value(s),
-        // so attribution stays address-granular (region-keyed site).
-        fail_cause_ = obs::AbortCause::kCmpRevalidation;
-        conflict_ = clause.addr();
-        fail_orec_ = obs::kNoOrec;
-        fail_owner_ = nullptr;
-        return false;
+      // Semantic validation (line 63-64).
+      if (!clause.holds()) {
+        return note_conflict(obs::AbortCause::kCmpRevalidation, clause.addr());
       }
     }
     return true;
   }
 
-  /// Stuck-lock attribution for compare-set validation: the conflicting
-  /// orec is a function of the term's address, so the site and its owner
-  /// edge are recoverable here even though wait_unlocked only reports a
-  /// bool.
-  void note_cmp_lock_conflict(const tword* addr) {
-    Orec& o = shared_.orecs().of(addr);
-    fail_cause_ = obs::AbortCause::kWriteLockConflict;
+  /// Record a failed check's attribution in fail_* and return false. A
+  /// held lock or a moved version names the operand's orec and its
+  /// (best-effort) owner; a flipped clause names none — the flip is a
+  /// property of its values, so that site stays address-granular.
+  bool note_conflict(obs::AbortCause cause, const tword* addr) {
+    const bool flip = cause == obs::AbortCause::kCmpRevalidation;
+    const Orec& o = shared_.orecs().of(addr);
+    fail_cause_ = cause;
     conflict_ = addr;
-    fail_orec_ = orec_ix(&o);
-    fail_owner_ = o.owner_hint();
+    fail_orec_ = flip ? obs::kNoOrec : orec_ix(&o);
+    fail_owner_ = flip ? nullptr : o.owner_hint();
+    return false;
   }
 
-  /// False = the orec stayed locked by another committer and the caller
-  /// must treat the validation as failed.
-  bool wait_unlocked(const tword* addr, bool may_wait) {
+  /// False (fail_* set) = the orec stayed locked by another committer past
+  /// the bounded wait. Commit write-backs are short, making timeouts rare.
+  bool wait_unlocked(const tword* addr) {
     Orec& o = shared_.orecs().of(addr);
-    if (!o.locked_by_other(this)) return true;
-    if (!may_wait) return false;
-    // Execution phase holds no locks, so a generous wait cannot deadlock;
-    // commit write-backs are short, making timeouts rare.
-    return bounded_wait([&] { return !o.locked_by_other(this); }, 512);
+    return !o.locked_by_other(this) ||
+           bounded_wait([&] { return !o.locked_by_other(this); }, 512) ||
+           note_conflict(obs::AbortCause::kWriteLockConflict, addr);
   }
 
   CompareSet compares_;

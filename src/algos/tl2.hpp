@@ -5,8 +5,8 @@
 // operations delegate to plain reads/writes (generic_* delegations).
 //
 // Two-tier layout (DESIGN.md §4.12): Tl2CoreT holds the CRTP descriptor
-// logic shared with S-TL2 — non-virtual, statically dispatched; the
-// read-after-write hook raw() is shadowed, not overridden. Tl2Core is the
+// logic shared with S-TL2 — non-virtual, statically dispatched; the hooks
+// raw() and commit_holds() are shadowed, not overridden. Tl2Core is the
 // sealed plain-TL2 instantiation; the type-erased tier is
 // TxFacade<Tl2Core>.
 #pragma once
@@ -44,9 +44,9 @@ class Tl2Algorithm : public Algorithm {
   OrecTable orecs_;
 };
 
-/// TL2 descriptor logic, statically dispatched. `Derived` supplies the
-/// read-after-write hook raw(addr, entry) — plain TL2 returns the buffered
-/// value, S-TL2 promotes pending increments.
+/// TL2 descriptor logic, statically dispatched. `Derived` may shadow the
+/// hooks raw(addr, entry) (S-TL2 promotes pending increments) and
+/// commit_holds(wv) (S-TL2 also validates its compare-set).
 template <typename Derived>
 class Tl2CoreT : public TxCoreBase {
  public:
@@ -97,7 +97,8 @@ class Tl2CoreT : public TxCoreBase {
     // unique CAS winner is safe because any concurrent committer holds its
     // full lock set before reading the clock, so the winner's validation
     // (or its reads' owner checks) observes those locks. DESIGN.md §4.16.
-    if ((!st.exclusive || st.wv != start_version_ + 1) && !readset_holds()) {
+    if ((!st.exclusive || st.wv != start_version_ + 1) &&
+        !(self().commit_holds(st.wv) && readset_holds())) {
       fail_locked(fail_cause_, conflict_, fail_orec_, fail_owner_);
     }
     write_back(st.wv);
@@ -117,6 +118,10 @@ class Tl2CoreT : public TxCoreBase {
     (void)addr;
     return e->value;
   }
+
+  /// Commit validation hook, run before the read-set check with the write
+  /// locks held and wv drawn (S-TL2 validates its compare-set against wv).
+  bool commit_holds(std::uint64_t /*wv*/) { return true; }
 
   /// Slot index of an orec, as abort attribution (obs/conflict_map.hpp
   /// keys hot sites on it for the orec-based algorithms).

@@ -16,8 +16,8 @@
 //    ClockStamp carries `exclusive`: TL2's skip-validation fast path
 //    (wv == rv+1) is sound only for the unique CAS winner (see
 //    Tl2CoreT::commit and DESIGN.md §4.16 for the write-skew argument).
-//    S-TL2 keeps try_advance(): its CAS *is* the serialization point of
-//    the paper's argument (Alg. 7 lines 66-77), so it must not adopt.
+//    S-TL2 commits through the same fetch_increment: the drawn wv, not a
+//    CAS after validation (Alg. 7), is its serialization point.
 //
 // Both clocks live alone on a cache line (Padded): they are the single
 // most-contended words in the system, and anything sharing their line
@@ -112,14 +112,6 @@ class VersionClock {
     // write-back after every version we validated against. Shared stamp —
     // never report exclusivity.
     return {seen, false};
-  }
-
-  /// S-TL2: conditional advance — fails if another writer serialized in
-  /// between, forcing compare-set revalidation (Alg. 7 line 71).
-  bool try_advance(std::uint64_t expected) noexcept {
-    return value_.value.compare_exchange_strong(expected, expected + 1,
-                                          std::memory_order_acq_rel,
-                                          std::memory_order_acquire);
   }
 
   /// Test hook: see SeqLock::set_for_test.

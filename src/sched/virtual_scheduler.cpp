@@ -174,6 +174,15 @@ struct VirtualScheduler::Impl : YieldHook {
 
   static void trampoline();
 
+  /// Own frame: getcontext returns twice, so -Wclobbered would flag run_all.
+  [[gnu::noinline]] void make_fiber_context(Fiber& f) {
+    if (getcontext(&f.ctx) != 0) throw std::runtime_error("getcontext");
+    f.ctx.uc_stack.ss_sp = f.stack.get();
+    f.ctx.uc_stack.ss_size = opts.stack_bytes;
+    f.ctx.uc_link = &main_ctx;
+    makecontext(&f.ctx, reinterpret_cast<void (*)()>(&Impl::trampoline), 0);
+  }
+
   void enter(Fiber& f) {
     current = &f;
     // Compute the preemption horizon: the minimum clock among the *other*
@@ -250,11 +259,7 @@ struct VirtualScheduler::Impl : YieldHook {
       f.tid = i;
       f.rng = Rng(seeder.next());
       f.stack = std::move(stacks[i]);
-      if (getcontext(&f.ctx) != 0) throw std::runtime_error("getcontext");
-      f.ctx.uc_stack.ss_sp = f.stack.get();
-      f.ctx.uc_stack.ss_size = opts.stack_bytes;
-      f.ctx.uc_link = &main_ctx;
-      makecontext(&f.ctx, reinterpret_cast<void (*)()>(&Impl::trampoline), 0);
+      make_fiber_context(f);
     }
 
     bool truncated = false;

@@ -13,6 +13,9 @@
 //                      anomaly (allowed by the algorithms as published).
 //   SemanticReval    — a cmp whose outcome flips concurrently must abort
 //                      (the paper's semantic-revalidation obligation).
+//   SemanticWriteSkew — two cmp-guarded writes that falsify each other's
+//                      guard never both commit; S-TL2 validates each
+//                      clause at most once per commit attempt.
 //   SerialGate/Orec  — direct litmus over the runtime primitives, proving
 //                      the enter/acquire drain and the single-releaser
 //                      unlock at schedule granularity.
@@ -22,7 +25,9 @@
 // to them, since TSan cannot follow ucontext fiber switches.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -420,6 +425,116 @@ TEST_P(LitmusPerAlgo, FlippedCmpOutcomeIsAlwaysRevalidated) {
   EXPECT_EQ(replay_t_first(test, 0), "x=0,y=1,z=1");
   EXPECT_EQ(replay_t_first(test, 1), "x=0,y=0,z=0");
   expect_witnesses_replay(test, r);
+}
+
+// ---------------------------------------------------------------------------
+// Semantic write skew: T0 {if (x == 0) y = 1}, T1 {if (y == 0) x = 1},
+// both guards semantic compares. Serializable: T0 first -> (x=0, y=1);
+// T1 first -> (x=1, y=0). (x=1, y=1) means both committed on guards the
+// other's write falsified — the skew the commit-time compare-set pass must
+// catch even when both committers hold disjoint write locks.
+//
+// The test also records how many validation entries each commit attempt
+// ran. S-TL2 validates its compare-set once against its drawn write
+// version, so no attempt may check a single-clause compare-set twice —
+// Alg. 7's validate-then-CAS loop re-validates it after every failed CAS.
+// With only the two skew transactions the clock cannot move twice inside
+// one commit, so the `bystanders` variant adds two commits on z to T1: one
+// inside T0's transaction (T0 awaits it before committing) and one while
+// T0 commits (T1 awaits the end of T0's body). Only S-TL2, whose bound
+// this is, runs it (under CGL, T0 would await holding the global lock).
+// ---------------------------------------------------------------------------
+class SemanticWriteSkewLitmus final : public TmLitmus {
+ public:
+  SemanticWriteSkewLitmus(std::string algo, bool bystanders)
+      : TmLitmus(std::move(algo), 2), bystanders_(bystanders) {}
+
+  void reset_memory() override {
+    x_.unsafe_set(0);
+    y_.unsafe_set(0);
+    z_.unsafe_set(0);
+    bystander_committed_ = t0_body_done_ = false;
+  }
+  void body(unsigned tid) override {
+    if (bystanders_ && tid == 1) {
+      atomically([&](Tx& tx) { z_.set(tx, 1); });
+      bystander_committed_ = true;
+      while (!t0_body_done_) sched::spin_pause();
+      atomically([&](Tx& tx) { z_.set(tx, 2); });
+    }
+    const TVar<long>& guard = tid == 0 ? x_ : y_;
+    TVar<long>& target = tid == 0 ? y_ : x_;
+    Tx* last = nullptr;
+    std::uint64_t before_commit = 0;
+    bool body_done = false;
+    // Validation entries between the end of one body and the start of the
+    // next (or the return of atomically) belong to one commit attempt.
+    auto note_commit_attempt = [&] {
+      if (!body_done) return;
+      const std::uint64_t n = last->stats.validate_entries - before_commit;
+      max_commit_entries_ = std::max(max_commit_entries_, n);
+      body_done = false;
+    };
+    atomically([&](Tx& tx) {
+      last = &tx;
+      note_commit_attempt();
+      if (guard.eq(tx, 0)) target.set(tx, 1);
+      if (bystanders_ && tid == 0) {
+        while (!bystander_committed_) sched::spin_pause();
+        t0_body_done_ = true;
+      }
+      before_commit = tx.stats.validate_entries;
+      body_done = true;
+    });
+    note_commit_attempt();
+  }
+  std::string outcome() override {
+    return "x=" + std::to_string(x_.unsafe_get()) +
+           ",y=" + std::to_string(y_.unsafe_get());
+  }
+
+  /// Most validation entries any commit attempt ran, over every schedule
+  /// explored so far (deliberately not reset per schedule).
+  std::uint64_t max_commit_entries() const { return max_commit_entries_; }
+
+ private:
+  const bool bystanders_;
+  TVar<long> x_{0}, y_{0}, z_{0};
+  // Single carrier thread: plain flags are exact observers.
+  bool bystander_committed_ = false;
+  bool t0_body_done_ = false;
+  std::uint64_t max_commit_entries_ = 0;
+};
+
+TEST_P(LitmusPerAlgo, SemanticWriteSkewOnlySerializableOutcomes) {
+  const bool stl2 = GetParam() == "stl2";
+  for (const bool bystanders : {false, true}) {
+    if (bystanders && !stl2) continue;
+    SemanticWriteSkewLitmus test(GetParam(), bystanders);
+    const ExploreResult r = explore_bounded(test);
+    log_result(bystanders ? "SemanticWriteSkew+bystanders"
+                          : "SemanticWriteSkew",
+               GetParam(), r);
+    EXPECT_GT(r.schedules, 1u);
+    for (const std::string& outcome : r.outcome_set()) {
+      EXPECT_TRUE(outcome == "x=0,y=1" || outcome == "x=1,y=0")
+          << "both guarded writes committed (write skew): " << outcome;
+    }
+    if (r.exhaustive) {
+      EXPECT_EQ(r.outcome_set(),
+                (std::vector<std::string>{"x=0,y=1", "x=1,y=0"}));
+    }
+    if (stl2) {
+      // T0's and T1's compare-sets hold one clause, no plain reads.
+      EXPECT_LE(test.max_commit_entries(), 1u)
+          << "an S-TL2 commit attempt validated a compare-set clause twice";
+    }
+    EXPECT_EQ(replay_t_first(test, 0), "x=0,y=1");
+    if (!bystanders) {
+      EXPECT_EQ(replay_t_first(test, 1), "x=1,y=0");
+    }
+    expect_witnesses_replay(test, r);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, LitmusPerAlgo,

@@ -98,7 +98,9 @@ TEST(TraceRing, ConcurrentProducerConsumerDrain) {
   TraceEvent e;
   for (;;) {
     if (ring.pop(e)) {
-      if (!first) EXPECT_GT(e.ts, last);
+      if (!first) {
+        EXPECT_GT(e.ts, last);
+      }
       last = e.ts;
       first = false;
       ++received;

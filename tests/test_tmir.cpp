@@ -167,7 +167,9 @@ TEST(TmMark, DetectsMirroredCompare) {
   // Find the rewritten instruction and check the mirrored relation.
   for (const Block& blk : f.blocks) {
     for (const Instr& i : blk.code) {
-      if (i.op == Op::kTmCmp1) EXPECT_EQ(i.rel, Rel::SGT);
+      if (i.op == Op::kTmCmp1) {
+        EXPECT_EQ(i.rel, Rel::SGT);
+      }
     }
   }
 }

@@ -436,7 +436,9 @@ TEST(TmRbe, ForwardsStoreToLoad) {
   EXPECT_TRUE(pass_tm_lint(f).empty());
   // The return now reads the stored temp directly.
   for (const Instr& i : f.blocks[0].code) {
-    if (i.op == Op::kRet) EXPECT_EQ(i.a, 1);  // arg(1)'s temp
+    if (i.op == Op::kRet) {
+      EXPECT_EQ(i.a, 1);  // arg(1)'s temp
+    }
   }
 }
 
