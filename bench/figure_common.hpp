@@ -43,9 +43,8 @@ struct FigureSpec {
   std::uint64_t seed = 0x5EED;
   ExecMode mode = ExecMode::kSim;
   std::uint64_t sim_quantum = 24;  // amortize fiber switches (see SimOptions)
-  std::string cm = env_or("SEMSTM_CM", "backoff");  // contention manager
-  std::uint64_t retry_limit =
-      env_u64_or("SEMSTM_RETRY_LIMIT", kDefaultRetryLimit);
+  std::string cm = "backoff";  // contention manager
+  std::uint64_t retry_limit = kDefaultRetryLimit;
   /// When non-empty, every (series × thread-count) run is traced and the
   /// merged Chrome trace_event JSON is written here (--trace out.json).
   /// Requires a -DSEMSTM_TRACE=ON build to produce events.

@@ -30,30 +30,6 @@ const char* algo_of(int idx) {
   return names[idx];
 }
 
-/// Run `body` under the dispatch tier selected by the benchmark's second
-/// range argument (0 = virtual/type-erased, 1 = static/monomorphized), and
-/// tag the label `algo/virtual` or `algo/static` so the two series are
-/// separable in BENCH_micro.json. `body` is a generic lambda over the
-/// dispatch tag: instantiated once with VirtualTag (tx_type = Tx) and once
-/// per concrete core via dispatch_algorithm — the exact mechanism the
-/// workload driver uses (DESIGN.md §4.12).
-template <typename Body>
-void run_dispatch_tier(benchmark::State& state, const char* name,
-                       Body&& body) {
-  if (state.range(1) != 0) {
-    dispatch_algorithm(algo_id(name), body);
-    state.SetLabel(std::string(name) + "/static");
-  } else {
-    body(VirtualTag{});
-    state.SetLabel(std::string(name) + "/virtual");
-  }
-}
-
-/// algo index 0-4 crossed with dispatch tier 0-1.
-void algo_x_dispatch(benchmark::internal::Benchmark* b) {
-  b->ArgsProduct({benchmark::CreateDenseRange(0, 4, /*step=*/1), {0, 1}});
-}
-
 struct Bound {
   std::unique_ptr<Algorithm> algo;
   std::unique_ptr<ThreadCtx> ctx;
@@ -65,60 +41,67 @@ struct Bound {
         bind(std::make_unique<CtxBinder>(*ctx)) {}
 };
 
+// Single-transaction latencies, monomorphized on each algorithm's concrete
+// descriptor core through dispatch_algorithm — the path the workload
+// driver takes (DESIGN.md §4.12).
 void BM_ReadTx(benchmark::State& state) {
   const char* name = algo_of(static_cast<int>(state.range(0)));
   Bound b(name);
   TVar<long> x(7);
-  run_dispatch_tier(state, name, [&](auto tag) {
+  dispatch_algorithm(name, [&](auto tag) {
     using TxT = typename decltype(tag)::tx_type;
     for (auto _ : state) {
       benchmark::DoNotOptimize(
           atomically<TxT>([&](TxT& tx) { return x.get(tx); }));
     }
   });
+  state.SetLabel(name);
 }
-BENCHMARK(BM_ReadTx)->Apply(algo_x_dispatch);
+BENCHMARK(BM_ReadTx)->DenseRange(0, 4);
 
 void BM_WriteTx(benchmark::State& state) {
   const char* name = algo_of(static_cast<int>(state.range(0)));
   Bound b(name);
   TVar<long> x(0);
   long v = 0;
-  run_dispatch_tier(state, name, [&](auto tag) {
+  dispatch_algorithm(name, [&](auto tag) {
     using TxT = typename decltype(tag)::tx_type;
     for (auto _ : state) {
       atomically<TxT>([&](TxT& tx) { x.set(tx, ++v); });
     }
   });
+  state.SetLabel(name);
 }
-BENCHMARK(BM_WriteTx)->Apply(algo_x_dispatch);
+BENCHMARK(BM_WriteTx)->DenseRange(0, 4);
 
 void BM_CompareTx(benchmark::State& state) {
   const char* name = algo_of(static_cast<int>(state.range(0)));
   Bound b(name);
   TVar<long> x(7);
-  run_dispatch_tier(state, name, [&](auto tag) {
+  dispatch_algorithm(name, [&](auto tag) {
     using TxT = typename decltype(tag)::tx_type;
     for (auto _ : state) {
       benchmark::DoNotOptimize(
           atomically<TxT>([&](TxT& tx) { return x.gt(tx, 0); }));
     }
   });
+  state.SetLabel(name);
 }
-BENCHMARK(BM_CompareTx)->Apply(algo_x_dispatch);
+BENCHMARK(BM_CompareTx)->DenseRange(0, 4);
 
 void BM_IncrementTx(benchmark::State& state) {
   const char* name = algo_of(static_cast<int>(state.range(0)));
   Bound b(name);
   TVar<long> x(0);
-  run_dispatch_tier(state, name, [&](auto tag) {
+  dispatch_algorithm(name, [&](auto tag) {
     using TxT = typename decltype(tag)::tx_type;
     for (auto _ : state) {
       atomically<TxT>([&](TxT& tx) { x.add(tx, 1); });
     }
   });
+  state.SetLabel(name);
 }
-BENCHMARK(BM_IncrementTx)->Apply(algo_x_dispatch);
+BENCHMARK(BM_IncrementTx)->DenseRange(0, 4);
 
 /// Cost of a writer commit as the read-set grows: NOrec-family validation
 /// is linear in the read-set, TL2-family in the orec read-set.

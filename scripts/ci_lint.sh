@@ -2,8 +2,9 @@
 # Static-analysis gate, two stages:
 #
 #   1. tmir_lint — the repo's own IR pipeline checker (verify + tm_lint
-#      over every built-in kernel, baseline and alias pipelines). Always
-#      runs: it is built from this tree and needs no external tooling.
+#      after every stage of the rbe -> mark -> optimize pipeline, over
+#      every built-in kernel). Always runs: it is built from this tree and
+#      needs no external tooling.
 #      Any diagnostic fails the stage (tmir_lint exits 2), and the --json
 #      report must parse.
 #

@@ -35,12 +35,6 @@ struct AlgoTag {
   static constexpr AlgoId id = CoreT::kId;
 };
 
-/// Tag standing in for the type-erased tier, so call sites sweeping over
-/// {virtual, static} dispatch can treat both uniformly (bench/micro_ops).
-struct VirtualTag {
-  using tx_type = Tx;
-};
-
 /// Monomorphize over the algorithm named by `id`: invokes `visitor` with
 /// the AlgoTag of the concrete algorithm/core pair and returns its result.
 template <typename V>

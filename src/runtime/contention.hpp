@@ -19,8 +19,7 @@
 //              the pure policies lack: a pathological transaction can
 //              otherwise livelock/starve forever.
 //
-// Selection is per run: `--cm=NAME --retry-limit=N` on every bench binary,
-// or the SEMSTM_CM / SEMSTM_RETRY_LIMIT environment variables (CLI wins).
+// Selection is per run: `--cm=NAME --retry-limit=N` on every bench binary.
 //
 // Observability (src/obs): in SEMSTM_TRACE builds atomically() times each
 // on_abort() wait into TxStats::lat_backoff and records an escalation as a

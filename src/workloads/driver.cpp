@@ -60,13 +60,7 @@ RunResult run_workload(const RunConfig& cfg, Workload& workload) {
     const std::uint64_t ops = cfg.ops_by_thread.empty()
                                   ? cfg.ops_per_thread
                                   : cfg.ops_by_thread[tid];
-    if (cfg.dispatch == Dispatch::kStatic) {
-      workload.run_ops(aid, tid, rng, ops);
-    } else {
-      for (std::uint64_t i = 0; i < ops; ++i) {
-        workload.op(tid, rng);
-      }
-    }
+    workload.run_ops(aid, tid, rng, ops);
   };
 
   RunResult r;

@@ -16,7 +16,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace_export.hpp"
 #include "runtime/contention.hpp"
-#include "util/cli.hpp"
 #include "util/rng.hpp"
 
 namespace semstm {
@@ -26,12 +25,12 @@ namespace semstm {
 /// called ops_per_thread times per logical thread; verify() checks
 /// workload invariants after the run (used by the integration tests).
 ///
-/// run_ops() is a thread's whole inner loop. The default implementation
-/// simply calls op() `ops` times (virtual dispatch per access); workloads
-/// deriving from MonoWorkload (workloads/mono.hpp) override it to
-/// monomorphize the loop on the algorithm's concrete descriptor type, so
-/// the per-access TM calls devirtualize (DESIGN.md §4.12). The driver
-/// selects between the two through RunConfig::dispatch.
+/// run_ops() is a thread's whole inner loop and what the driver calls. The
+/// default implementation simply calls op() `ops` times (virtual dispatch
+/// per access); workloads deriving from MonoWorkload (workloads/mono.hpp)
+/// override it to monomorphize the loop on the algorithm's concrete
+/// descriptor type, so the per-access TM calls devirtualize (DESIGN.md
+/// §4.12).
 class Workload {
  public:
   virtual ~Workload() = default;
@@ -48,12 +47,6 @@ class Workload {
 enum class ExecMode : std::uint8_t {
   kSim,   ///< fiber-based virtual N-core scheduler (deterministic)
   kReal,  ///< real std::thread concurrency
-};
-
-/// How worker loops reach the TM runtime.
-enum class Dispatch : std::uint8_t {
-  kVirtual,  ///< op() through the type-erased Tx interface
-  kStatic,   ///< run_ops() monomorphized on the concrete descriptor
 };
 
 /// Split `total` operations across `threads` with no remainder loss: the
@@ -86,21 +79,14 @@ struct RunConfig {
   /// (split_total_ops) uses this to distribute the division remainder.
   std::vector<std::uint64_t> ops_by_thread;
   std::uint64_t seed = 0xC0FFEE;
-  /// Dispatch tier for the worker loops. Static is the default: it is the
-  /// fast path, and workloads not opting in (no run_ops override) fall
-  /// back to the virtual loop transparently.
-  Dispatch dispatch = Dispatch::kStatic;
   AlgoOptions algo_opts{};
   /// Simulator scheduling slack (see sched::SimOptions::quantum).
   std::uint64_t sim_quantum = 0;
   /// Contention-manager policy: "backoff", "yield" or "bounded"
-  /// (runtime/contention.hpp). Defaults honour SEMSTM_CM / SEMSTM_RETRY_LIMIT
-  /// so whole bench sweeps can be re-run under a different policy without
-  /// touching every invocation; per-bench CLI flags override.
-  std::string cm = env_or("SEMSTM_CM", "backoff");
+  /// (runtime/contention.hpp).
+  std::string cm = "backoff";
   /// Consecutive-abort limit before the "bounded" policy goes serial.
-  std::uint64_t retry_limit = env_u64_or("SEMSTM_RETRY_LIMIT",
-                                         kDefaultRetryLimit);
+  std::uint64_t retry_limit = kDefaultRetryLimit;
   /// Optional trace sink (src/obs). When non-null the driver sizes one
   /// SPSC ring per thread and binds it to that thread's descriptor, so the
   /// retry loop streams begin/commit/abort/fallback/semantic-op events into

@@ -1,5 +1,5 @@
 // MonoWorkload: the monomorphization adapter between the Workload
-// interface and the two-tier dispatch design (DESIGN.md §4.12).
+// interface and the static dispatch tier (DESIGN.md §4.12).
 //
 // A workload derives from MonoWorkload<Self> and implements ONE body,
 //
@@ -9,15 +9,16 @@
 // take TxT&, and every TVar/container call forwards TxT). The mixin then
 // provides both Workload entry points from that single source:
 //
-//  - op()      instantiates op_t<Tx>: the type-erased tier, one virtual
-//              call per TM access — the baseline every prior session used.
 //  - run_ops() switches once per thread-loop over the algorithm id
 //              (dispatch_algorithm) and instantiates op_t<Core> for the
 //              concrete descriptor: zero virtual calls inside the loop.
+//              This is the loop the driver runs.
+//  - op()      instantiates op_t<Tx>: one operation through the
+//              type-erased Tx facade, one virtual call per TM access.
 //
 // Both instantiations execute the same statements against the same
-// descriptor object, which is what makes the bit-identical-statistics
-// parity check of tests/test_dispatch.cpp meaningful.
+// descriptor object; tests/test_dispatch.cpp checks that they produce
+// bit-identical statistics.
 #pragma once
 
 #include <cstdint>

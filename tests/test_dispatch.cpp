@@ -7,6 +7,9 @@
 // both tiers — commits, aborts, per-cause abort attribution, and every
 // read/compare/increment/read-set-economy counter — for all five
 // algorithms. Any divergence means the tiers execute different logic.
+// The driver runs the static tier (MonoWorkload::run_ops); the virtual
+// tier runs through a test-local Workload whose default run_ops calls
+// op() once per operation.
 //
 // The shared state is owned by the fixture and reset (not reallocated)
 // between runs: TL2-family read-set counters depend on address-hashed orec
@@ -78,17 +81,25 @@ class ParityWorkload final : public MonoWorkload<ParityWorkload> {
   TArray<std::int64_t>& cells_;
 };
 
+/// The type-erased tier: ParityWorkload::op_t<Tx> through Workload's
+/// default run_ops loop, one op() call per operation.
+class VirtualParityWorkload final : public Workload {
+ public:
+  explicit VirtualParityWorkload(ParityWorkload& inner) : inner_(inner) {}
+  void op(unsigned tid, Rng& rng) override {
+    inner_.op_t<Tx>(tid, rng);
+  }
+
+ private:
+  ParityWorkload& inner_;
+};
+
 class DispatchParity : public ::testing::TestWithParam<const char*> {
  protected:
-  void reset_cells() {
+  RunResult run(Workload& wl) {
     for (std::size_t i = 0; i < kCells; ++i) {
       cells_[i].unsafe_set(kInitial);
     }
-  }
-
-  RunResult run(Dispatch dispatch) {
-    reset_cells();
-    ParityWorkload wl(cells_);
     RunConfig cfg;
     cfg.algo = GetParam();
     cfg.threads = 3;
@@ -96,16 +107,18 @@ class DispatchParity : public ::testing::TestWithParam<const char*> {
     cfg.ops_per_thread = 400;
     cfg.seed = 0xD15BA7C4;
     cfg.cm = "backoff";
-    cfg.dispatch = dispatch;
     return run_workload(cfg, wl);
   }
 
   TArray<std::int64_t> cells_{kCells, kInitial};
+  /// The static tier: MonoWorkload::run_ops over op_t<Core>.
+  ParityWorkload static_wl_{cells_};
 };
 
 TEST_P(DispatchParity, StaticAndVirtualTiersAreBitIdentical) {
-  const RunResult v = run(Dispatch::kVirtual);
-  const RunResult s = run(Dispatch::kStatic);
+  VirtualParityWorkload virtual_wl(static_wl_);
+  const RunResult v = run(virtual_wl);
+  const RunResult s = run(static_wl_);
 
   EXPECT_GT(v.stats.commits, 0u);
   EXPECT_EQ(v.stats.starts, s.stats.starts);
@@ -143,8 +156,8 @@ TEST_P(DispatchParity, SimRunsAreBitIdenticalAcrossRepeats) {
   // makespan exactly. (Cross-binary TL2 counts may legitimately differ —
   // orec hashing is address-dependent — which is precisely why this
   // comparison runs within one process over fixture-owned cells.)
-  const RunResult a = run(Dispatch::kStatic);
-  const RunResult b = run(Dispatch::kStatic);
+  const RunResult a = run(static_wl_);
+  const RunResult b = run(static_wl_);
   EXPECT_GT(a.stats.commits, 0u);
   EXPECT_EQ(a.stats.starts, b.stats.starts);
   EXPECT_EQ(a.stats.commits, b.stats.commits);

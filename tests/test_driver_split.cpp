@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <numeric>
 #include <vector>
 
@@ -118,6 +119,23 @@ TEST(FixedTotalWorkDeath, MismatchedPerThreadVectorFailsLoudly) {
   EXPECT_EXIT(run_workload(cfg, wl), ::testing::ExitedWithCode(2),
               "ops_by_thread");
 }
+
+// RunConfig's contention-manager defaults are constants: the environment
+// of the process that runs a test or a sweep cannot change them (--cm and
+// --retry-limit are the one way to select a policy).
+// Mutates the environment from the single gtest thread before any run
+// starts, so the setenv/getenv race concurrency-mt-unsafe flags cannot
+// happen here. NOLINTBEGIN(concurrency-mt-unsafe)
+TEST(RunConfigDefaults, IgnoreContentionEnvironmentVariables) {
+  ::setenv("SEMSTM_CM", "yield", 1);
+  ::setenv("SEMSTM_RETRY_LIMIT", "3", 1);
+  const RunConfig cfg;
+  ::unsetenv("SEMSTM_CM");
+  ::unsetenv("SEMSTM_RETRY_LIMIT");
+  EXPECT_EQ(cfg.cm, "backoff");
+  EXPECT_EQ(cfg.retry_limit, kDefaultRetryLimit);
+}
+// NOLINTEND(concurrency-mt-unsafe)
 
 }  // namespace
 }  // namespace semstm

@@ -359,17 +359,11 @@ TEST_P(KernelEquivalence, CenterUpdateKernelMatches) {
   ThreadCtx ctx(algo->make_tx());
   CtxBinder bind(ctx);
 
-  // Three pipelines over the hoisted-loads record shape: raw, the PR 5
-  // alias-free pass (every crossed store is a clobber), and the alias-aware
-  // pass with redundant-barrier elimination in front.
+  // Raw vs the full pipeline over the hoisted-loads record shape: every
+  // feature add crosses the other features' stores, so each rewrite needs
+  // alias analysis to prove those stores disjoint.
   Function raw = build_center_update_kernel(8);
-  Function base = build_center_update_kernel(8);
   Function opt = build_center_update_kernel(8);
-
-  const MarkStats ms_base = pass_tm_mark(base, {.use_alias = false});
-  EXPECT_EQ(ms_base.sw, 1u);  // only the length bump is clobber-free
-  EXPECT_EQ(ms_base.skipped_clobbered, 8u);
-  pass_tm_optimize(base);
 
   const RbeStats rbe = pass_tm_rbe(opt);
   EXPECT_EQ(rbe.store_load_forwarded, 1u);  // the trailing length re-read
@@ -384,30 +378,24 @@ TEST_P(KernelEquivalence, CenterUpdateKernelMatches) {
   EXPECT_EQ(opt.count(Op::kTmLoad).live, 1u);  // only the length load runs
   EXPECT_TRUE(pass_tm_lint(opt).empty());
 
-  TArray<std::int64_t> rec_a(9, 0), rec_b(9, 0), rec_c(9, 0);
+  TArray<std::int64_t> rec_a(9, 0), rec_b(9, 0);
   Rng rng(7);
   for (int step = 0; step < 200; ++step) {
     std::array<word_t, 9> aa{to_word(rec_a[0].word())};
     std::array<word_t, 9> ab{to_word(rec_b[0].word())};
-    std::array<word_t, 9> ac{to_word(rec_c[0].word())};
     for (int j = 0; j < 8; ++j) {
       const word_t fv = rng.below(100);
       aa[1 + j] = fv;
       ab[1 + j] = fv;
-      ac[1 + j] = fv;
     }
     const word_t ra = atomically(
         [&](Tx& tx) { return execute(tx, raw, aa.data(), aa.size()); });
     const word_t rb = atomically(
-        [&](Tx& tx) { return execute(tx, base, ab.data(), ab.size()); });
-    const word_t rc = atomically(
-        [&](Tx& tx) { return execute(tx, opt, ac.data(), ac.size()); });
+        [&](Tx& tx) { return execute(tx, opt, ab.data(), ab.size()); });
     ASSERT_EQ(ra, rb) << step;  // returned new length
-    ASSERT_EQ(ra, rc) << step;
   }
   for (std::size_t j = 0; j < 9; ++j) {
     EXPECT_EQ(rec_a[j].unsafe_get(), rec_b[j].unsafe_get()) << j;
-    EXPECT_EQ(rec_a[j].unsafe_get(), rec_c[j].unsafe_get()) << j;
   }
 }
 

@@ -643,23 +643,17 @@ TEST(TmLint, CountsRbeProofObligations) {
 
 TEST(TmOptimize, RemovesDeadLocalStoreChainsTheHeuristicMissed) {
   // t = TM_READ(x); locals[0] = t; ret 0 — slot 0 is never loaded, so the
-  // store, the load and the whole chain are dead. The zero-uses heuristic
-  // cannot see it (the store *syntactically* uses t); liveness can.
-  auto build = [] {
-    Builder b("deadchain", 1, 1);
-    const auto v = b.tm_load(b.arg(0));
-    b.store_local(0, v);
-    b.ret(b.konst(0));
-    return b.finish();
-  };
-  Function legacy = build();
-  Function lively = build();
-  const OptimizeStats os_legacy = pass_tm_optimize_zero_uses(legacy);
-  const OptimizeStats os_live = pass_tm_optimize(lively);
-  EXPECT_EQ(os_legacy.removed_tm_loads, 0u);
-  EXPECT_EQ(os_live.removed_tm_loads, 1u);
-  EXPECT_EQ(lively.count(Op::kStoreLocal).dead, 1u);
-  EXPECT_TRUE(pass_verify(lively).empty());
+  // store, the load and the whole chain are dead. A zero-syntactic-uses
+  // heuristic cannot see it (the store uses t); liveness can.
+  Builder b("deadchain", 1, 1);
+  const auto v = b.tm_load(b.arg(0));
+  b.store_local(0, v);
+  b.ret(b.konst(0));
+  Function f = b.finish();
+  const OptimizeStats os = pass_tm_optimize(f);
+  EXPECT_EQ(os.removed_tm_loads, 1u);
+  EXPECT_EQ(f.count(Op::kStoreLocal).dead, 1u);
+  EXPECT_TRUE(pass_verify(f).empty());
 }
 
 TEST(TmOptimize, KeepsLocalStoresThatFeedALaterLoad) {
@@ -709,23 +703,32 @@ TEST(TmOptimize, KillsUnreachableBlocks) {
   EXPECT_TRUE(pass_verify(f).empty());
 }
 
-TEST(TmOptimize, NeverWeakerThanZeroUsesOnAnyKernel) {
-  // Acceptance: the liveness pass removes at least as many dead TM loads
-  // as the shipped heuristic on every kernel, and its removal counter
-  // agrees exactly with the dead-load count in the IR (no stats drift).
-  for (Function& lively : all_kernels()) {
-    Function legacy = lively;  // same IR, two pipelines
-    pass_tm_mark(legacy);
-    pass_tm_mark(lively);
-    const OptimizeStats os_legacy = pass_tm_optimize_zero_uses(legacy);
-    const OptimizeStats os_live = pass_tm_optimize(lively);
-    EXPECT_GE(os_live.removed_tm_loads, os_legacy.removed_tm_loads)
-        << lively.name;
-    EXPECT_EQ(os_live.removed_tm_loads, lively.count(Op::kTmLoad).dead)
-        << lively.name;
-    EXPECT_EQ(lively.count(Op::kTmLoad).live + lively.count(Op::kTmLoad).dead,
-              lively.count(Op::kTmLoad).total())
-        << lively.name;
+TEST(TmOptimize, PinsDeadLoadRemovalOnEveryKernel) {
+  // Exact mark -> optimize results per kernel (no rbe in front), in
+  // all_kernels() order. Any change — a lost removal or a new one — must
+  // update these pins deliberately. The removal counter must also agree
+  // exactly with the dead-load count in the IR (no stats drift).
+  struct Pin {
+    const char* name;
+    std::size_t removed_tm_loads;
+    std::size_t live_tm_loads;
+  };
+  constexpr Pin kPins[] = {
+      {"probe", 3, 0},   {"insert", 2, 0},        {"remove", 3, 0},
+      {"reserve", 6, 3}, {"center_update", 9, 1},
+  };
+  std::vector<Function> kernels = all_kernels();
+  ASSERT_EQ(kernels.size(), std::size(kPins));
+  for (std::size_t k = 0; k < kernels.size(); ++k) {
+    Function& f = kernels[k];
+    SCOPED_TRACE(kPins[k].name);
+    pass_tm_mark(f);
+    const OptimizeStats os = pass_tm_optimize(f);
+    const OpCount loads = f.count(Op::kTmLoad);
+    EXPECT_EQ(os.removed_tm_loads, kPins[k].removed_tm_loads);
+    EXPECT_EQ(loads.dead, kPins[k].removed_tm_loads);
+    EXPECT_EQ(loads.live, kPins[k].live_tm_loads);
+    EXPECT_EQ(loads.live + loads.dead, loads.total());
   }
 }
 
