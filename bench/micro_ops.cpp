@@ -89,6 +89,33 @@ void BM_CompareTx(benchmark::State& state) {
 }
 BENCHMARK(BM_CompareTx)->DenseRange(0, 4);
 
+/// One composed clause per transaction: the hashtable probe's per-cell
+/// `state == REMOVED || key != probe` (TOpenHashTable::find_slot), here on
+/// a BUSY cell holding the probed key, so both terms load and the OR reads
+/// false. The semantic algorithms record one 2-term clause; the others
+/// lower it to two plain reads.
+void BM_ClauseTx(benchmark::State& state) {
+  const char* name = algo_of(static_cast<int>(state.range(0)));
+  Bound b(name);
+  constexpr long kBusy = 1;
+  constexpr long kRemoved = 2;
+  TVar<long> cell_state(kBusy);
+  TVar<long> key(static_cast<long>(state.range(0)) + 7);
+  const long probe = key.unsafe_get();
+  dispatch_algorithm(name, [&](auto tag) {
+    using TxT = typename decltype(tag)::tx_type;
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(atomically<TxT>([&](TxT& tx) {
+        const CmpTerm clause[2] = {term<long>(cell_state, Rel::EQ, kRemoved),
+                                   term<long>(key, Rel::NEQ, probe)};
+        return tx.cmp_or(clause, 2);
+      }));
+    }
+  });
+  state.SetLabel(name);
+}
+BENCHMARK(BM_ClauseTx)->DenseRange(0, 4);
+
 void BM_IncrementTx(benchmark::State& state) {
   const char* name = algo_of(static_cast<int>(state.range(0)));
   Bound b(name);

@@ -55,18 +55,19 @@ class Stl2Core final : public Tl2CoreT<Stl2Core> {
   }
 
   /// Alg. 7 Compare (lines 4-36).
-  bool cmp(const tword* addr, Rel rel, word_t operand) {
+  [[gnu::always_inline]] bool cmp(const tword* addr, Rel rel,
+                                  word_t operand) {
     sched::tick(sched::Cost::kCmp);
     ++stats.compares;
     trace_semantic_op(obs::SemanticOp::kCmp, addr);
     if (WriteEntry* e = writes_.find(addr)) {
       return eval(rel, raw(addr, e), operand);
     }
-    const word_t val = read_for_cmp(addr);
-    const bool result = eval(rel, val, operand);
+    bool extend = false;
+    const bool result = eval(rel, read_for_cmp(addr, extend), operand);
     compares_.append_cmp(addr, rel, operand, result);
     ++stats.readset_adds;
-    if (phase1_pending_extend_) extend_start_version();
+    if (extend) extend_start_version();
     return result;
   }
 
@@ -83,27 +84,25 @@ class Stl2Core final : public Tl2CoreT<Stl2Core> {
       const word_t vb = eb ? raw(b, eb) : read(b);
       return eval(rel, va, vb);
     }
-    const word_t va = read_for_cmp(a);
-    const bool first_extend = phase1_pending_extend_;
-    const word_t vb = read_for_cmp(b);
+    bool extend = false;
+    const word_t va = read_for_cmp(a, extend);
+    const word_t vb = read_for_cmp(b, extend);
     const bool result = eval(rel, va, vb);
     compares_.append_cmp2(a, rel, b, result);
     ++stats.readset_adds;
-    if (first_extend || phase1_pending_extend_) extend_start_version();
+    if (extend) extend_start_version();
     return result;
   }
 
   /// Composed conditional (paper §3): every term operand is loaded through
   /// the phase-aware consistent read, the clause joins the compare-set as
   /// one entry, and phase 1 extends the snapshot if any load ran ahead.
-  bool cmp_or(const CmpTerm* terms, std::size_t n) {
+  [[gnu::always_inline]] bool cmp_or(const CmpTerm* terms, std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) {
       if (writes_.find(terms[i].addr) != nullptr ||
           (terms[i].rhs_addr != nullptr &&
            writes_.find(terms[i].rhs_addr) != nullptr)) {
-        // Buffered operands: plain evaluation, whose reads tick kRead —
-        // do not also charge kCmp for a semantic op that never happens.
-        return generic_cmp_or(*this, terms, n);
+        return cmp_or_buffered(terms, n);
       }
     }
     sched::tick(sched::Cost::kCmp);  // semantic path only
@@ -112,21 +111,15 @@ class Stl2Core final : public Tl2CoreT<Stl2Core> {
     bool outcome = false;
     bool extend = false;
     for (std::size_t i = 0; i < n; ++i) {
-      const word_t lhs = read_for_cmp(terms[i].addr);
-      extend = extend || phase1_pending_extend_;
-      word_t rhs = terms[i].operand;
-      if (terms[i].rhs_addr != nullptr) {
-        rhs = read_for_cmp(terms[i].rhs_addr);
-        extend = extend || phase1_pending_extend_;
-      }
+      const word_t lhs = read_for_cmp(terms[i].addr, extend);
+      const word_t rhs = terms[i].rhs_addr != nullptr
+                             ? read_for_cmp(terms[i].rhs_addr, extend)
+                             : terms[i].operand;
       outcome = outcome || eval(terms[i].rel, lhs, rhs);
     }
     compares_.append_clause(terms, n, outcome);
     ++stats.readset_adds;
-    if (extend) {
-      phase1_pending_extend_ = true;
-      extend_start_version();
-    }
+    if (extend) extend_start_version();
     return outcome;
   }
 
@@ -187,40 +180,74 @@ class Stl2Core final : public Tl2CoreT<Stl2Core> {
   }
 
  private:
-  /// Phase-aware consistent load for cmp operands. In phase 1 (empty
-  /// read-set) locked orecs and version changes are retried/waited, and a
-  /// successful load past start_version_ schedules a snapshot extension;
-  /// in phase 2 the TL2 read rules apply but *without* joining the
-  /// orec read-set (the semantic entry subsumes it).
-  word_t read_for_cmp(const tword* addr) {
-    phase1_pending_extend_ = false;
-    if (reads_.empty()) {  // Phase 1 (lines 10-25)
-      Orec& o = shared_.orecs().of(addr);
-      for (;;) {
-        const std::uint64_t v1 = o.version.load(std::memory_order_acquire);
-        if (o.locked_by_other(this)) {
-          // Wait until unlocked instead of aborting (lines 11-12).
-          if (!bounded_wait([&] { return !o.locked_by_other(this); })) {
-            // starvation timeout (§4.2)
-            abort_tx(obs::AbortCause::kWriteLockConflict, addr, orec_ix(&o),
-                     o.owner_hint());
-          }
-          continue;
-        }
-        const word_t val = addr->load(std::memory_order_acquire);
-        if (o.locked_by_other(this)) continue;
-        const std::uint64_t v2 = o.version.load(std::memory_order_acquire);
-        if (v1 != v2) continue;  // concurrent version move: retry (line 16)
-        if (v1 > start_version_) phase1_pending_extend_ = true;
+  /// Phase-aware consistent load for cmp operands: ONE version/owner/
+  /// value/owner/version sandwich, inlined at every compare. An unlocked,
+  /// stable word stamped within the snapshot is returned in either phase;
+  /// in phase 1 (empty read-set) one stamped past start_version_ is
+  /// returned too and sets `extend`, scheduling a snapshot extension. In
+  /// phase 2 the TL2 read rules apply but *without* joining the orec
+  /// read-set (the semantic entry subsumes it). Everything else — a held
+  /// orec, a moving version, a phase-2 stamp past the snapshot — goes to
+  /// the outlined read_for_cmp_slow().
+  [[gnu::always_inline]] word_t read_for_cmp(const tword* addr,
+                                             bool& extend) {
+    const Orec& o = shared_.orecs().of(addr);
+    const std::uint64_t v1 = o.version.load(std::memory_order_acquire);
+    const bool free_before = !o.locked_by_other(this);
+    const word_t val = addr->load(std::memory_order_acquire);
+    const bool free = free_before && !o.locked_by_other(this);
+    if (free && o.version.load(std::memory_order_acquire) == v1) {
+      if (v1 <= start_version_) return val;
+      if (reads_.empty()) {
+        extend = true;
         return val;
       }
     }
-    // Phase 2 (lines 26-34): frozen snapshot, TL2-style checks.
-    word_t val = 0;
-    if (!load_at(addr, start_version_, val)) {
-      abort_tx(fail_cause_, conflict_, fail_orec_, fail_owner_);
+    return read_for_cmp_slow(addr, free, extend);
+  }
+
+  /// The cases the fast path does not settle; `free` says whether its
+  /// sandwich saw the orec unlocked on both sides. Phase 2 (lines 26-34):
+  /// the snapshot is frozen, so the failed check aborts — a held orec as a
+  /// write-lock conflict, a moved or newer version as a stale read, each
+  /// naming the orec and its (best-effort) owner. Phase 1 (lines 10-25):
+  /// a held orec is waited out (bounded) rather than aborted on, and a
+  /// version that moved across the load is retried.
+  [[gnu::cold, gnu::noinline]] word_t read_for_cmp_slow(const tword* addr,
+                                                        bool free,
+                                                        bool& extend) {
+    Orec& o = shared_.orecs().of(addr);
+    if (!reads_.empty()) {
+      abort_tx(free ? obs::AbortCause::kReadValidation
+                    : obs::AbortCause::kWriteLockConflict,
+               addr, orec_ix(&o), o.owner_hint());
     }
-    return val;
+    for (;;) {
+      const std::uint64_t v1 = o.version.load(std::memory_order_acquire);
+      if (o.locked_by_other(this)) {
+        // Wait until unlocked instead of aborting (lines 11-12).
+        if (!bounded_wait([&] { return !o.locked_by_other(this); })) {
+          // starvation timeout (§4.2)
+          abort_tx(obs::AbortCause::kWriteLockConflict, addr, orec_ix(&o),
+                   o.owner_hint());
+        }
+        continue;
+      }
+      const word_t val = addr->load(std::memory_order_acquire);
+      if (o.locked_by_other(this)) continue;
+      const std::uint64_t v2 = o.version.load(std::memory_order_acquire);
+      if (v1 != v2) continue;  // concurrent version move: retry (line 16)
+      if (v1 > start_version_) extend = true;
+      return val;
+    }
+  }
+
+  /// Buffered operands: plain evaluation, whose reads tick kRead — do not
+  /// also charge kCmp for a semantic op that never happens. Out of line:
+  /// a clause over the transaction's own writes is rare, and the
+  /// delegation would otherwise inline a second probe into every cmp_or.
+  [[gnu::noinline]] bool cmp_or_buffered(const CmpTerm* terms, std::size_t n) {
+    return generic_cmp_or(*this, terms, n);
   }
 
   /// Version/owner/value/owner/version sandwich admitting only a value
@@ -249,9 +276,9 @@ class Stl2Core final : public Tl2CoreT<Stl2Core> {
   }
 
   /// Lines 19-25: validate the compare-set at a stable timestamp, then
-  /// adopt that timestamp as the new start version.
-  void extend_start_version() {
-    phase1_pending_extend_ = false;
+  /// adopt that timestamp as the new start version. Out of line and cold:
+  /// only a phase-1 compare that observed a newer stamp extends.
+  [[gnu::cold, gnu::noinline]] void extend_start_version() {
     for (;;) {
       const std::uint64_t time = shared_.clock().load();
       if (!compare_set_holds()) {
@@ -272,7 +299,7 @@ class Stl2Core final : public Tl2CoreT<Stl2Core> {
   /// locks). On failure fail_cause_/conflict_ carry the attribution: a
   /// stuck lock is a write-lock conflict, a flipped outcome a compare-set
   /// revalidation failure — the signature abort of the semantic design.
-  bool compare_set_holds() {
+  [[gnu::noinline]] bool compare_set_holds() {
     obs::ScopedLatency lat(stats.lat_validate);
     ++stats.validations;
     for (const auto clause : compares_) {
@@ -317,7 +344,6 @@ class Stl2Core final : public Tl2CoreT<Stl2Core> {
   }
 
   CompareSet compares_;
-  bool phase1_pending_extend_ = false;
 };
 
 inline std::unique_ptr<Tx> Stl2Algorithm::make_tx() {

@@ -11,10 +11,10 @@
 //    still evaluates to the recorded outcome. Conjunctions need no special
 //    support — `A && B` observed true is simply two entries.
 //
-// Hot-path design (PR 3). The read-set is appended to on *every* plain
-// read, so entry size is per-access metadata cost — the overhead the
-// paper's headline claim is about. Two choices keep it small and the
-// validation loop O(unique reads):
+// Hot-path design. The read-set is appended to on *every* plain read and
+// every semantic compare, so the append is per-access metadata cost — the
+// overhead the paper's headline claim is about. Three choices keep the
+// append cheap and the validation loop O(unique reads):
 //  - Rows are 32 bytes: one flat term plus clause header, instead of a
 //    fixed kMaxTerms-term array. Multi-term clauses (rare) span the head
 //    row plus nterms-1 continuation rows; iteration is clause-granular.
@@ -25,11 +25,16 @@
 //    validating it once, and within one transaction two plain reads of the
 //    same address can only legally observe the same value (a change fails
 //    the earlier entry during revalidation).
+//  - Rows are bump-appended into one buffer the set keeps across
+//    transactions: an append is a capacity compare and a 32-byte store,
+//    and only the (cold, out-of-line) growth path allocates. clear() keeps
+//    the buffer, so a descriptor reaches its steady-state capacity once.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <memory>
 
 #include "core/semantics.hpp"
 #include "core/word.hpp"
@@ -61,6 +66,14 @@ static_assert(sizeof(ReadEntry) == 32,
 class ReadSet {
  public:
   static constexpr unsigned kMaxTerms = 3;
+
+  /// Rows of the first buffer; each growth doubles it.
+  static constexpr std::size_t kInitialRows = 64;
+
+  ReadSet() = default;
+  // top_/limit_ point into rows_: a copy or move would alias the buffer.
+  ReadSet(const ReadSet&) = delete;
+  ReadSet& operator=(const ReadSet&) = delete;
 
   /// How many trailing rows append_value scans for an identical value
   /// snapshot before appending. Repeated reads of the same address are
@@ -133,29 +146,29 @@ class ReadSet {
   /// entry (same address, same observed value) sits within the dedup
   /// window — the duplicate is skipped.
   bool append_value(const tword* addr, word_t observed) {
-    const std::size_t n = entries_.size();
+    const std::size_t n = rows();
     const std::size_t lookback = n < kDedupWindow ? n : kDedupWindow;
-    for (std::size_t i = 0; i < lookback; ++i) {
-      const ReadEntry& p = entries_[n - 1 - i];
+    for (std::size_t i = 1; i <= lookback; ++i) {
+      const ReadEntry& p = *(top_ - i);
       // nterms == 1 excludes clause heads AND continuation rows (0).
       if (p.addr == addr && p.operand == observed && p.nterms == 1 &&
           p.expected && p.rel == Rel::EQ && p.rhs_addr == nullptr) {
         return false;
       }
     }
-    entries_.push_back(ReadEntry{addr, nullptr, observed, Rel::EQ, 1, true});
+    *bump(1) = ReadEntry{addr, nullptr, observed, Rel::EQ, 1, true};
     ++clauses_;
     return true;
   }
 
   /// Record a semantic compare with its observed outcome.
   void append_cmp(const tword* addr, Rel rel, word_t operand, bool outcome) {
-    entries_.push_back(ReadEntry{addr, nullptr, operand, rel, 1, outcome});
+    *bump(1) = ReadEntry{addr, nullptr, operand, rel, 1, outcome};
     ++clauses_;
   }
 
   void append_cmp2(const tword* a, Rel rel, const tword* b, bool outcome) {
-    entries_.push_back(ReadEntry{a, b, 0, rel, 1, outcome});
+    *bump(1) = ReadEntry{a, b, 0, rel, 1, outcome};
     ++clauses_;
   }
 
@@ -165,37 +178,60 @@ class ReadSet {
   void append_clause(const CmpTerm* terms, std::size_t n, bool outcome) {
     const std::size_t m = n < kMaxTerms ? n : kMaxTerms;
     if (m == 0) return;
-    entries_.push_back(ReadEntry{terms[0].addr, terms[0].rhs_addr,
-                                 terms[0].operand, terms[0].rel,
-                                 static_cast<std::uint8_t>(m), outcome});
-    for (std::size_t i = 1; i < m; ++i) {
-      entries_.push_back(ReadEntry{terms[i].addr, terms[i].rhs_addr,
-                                   terms[i].operand, terms[i].rel, 0,
-                                   outcome});
+    ReadEntry* row = bump(m);  // the whole clause, contiguous
+    for (std::size_t i = 0; i < m; ++i) {
+      row[i] = ReadEntry{terms[i].addr, terms[i].rhs_addr, terms[i].operand,
+                         terms[i].rel,
+                         static_cast<std::uint8_t>(i == 0 ? m : 0), outcome};
     }
     ++clauses_;
   }
 
-  bool empty() const noexcept { return entries_.empty(); }
+  bool empty() const noexcept { return top_ == rows_.get(); }
   /// Number of clauses (validation units), not rows.
   std::size_t size() const noexcept { return clauses_; }
   /// Number of 32-byte rows (clauses plus continuation rows).
-  std::size_t rows() const noexcept { return entries_.size(); }
+  std::size_t rows() const noexcept {
+    return static_cast<std::size_t>(top_ - rows_.get());
+  }
+  /// Rows the buffer holds before the next growth; clear() keeps it.
+  std::size_t capacity() const noexcept {
+    return static_cast<std::size_t>(limit_ - rows_.get());
+  }
 
   void clear() noexcept {
-    entries_.clear();
+    top_ = rows_.get();
     clauses_ = 0;
   }
 
-  const_iterator begin() const noexcept {
-    return const_iterator(entries_.data());
-  }
-  const_iterator end() const noexcept {
-    return const_iterator(entries_.data() + entries_.size());
-  }
+  const_iterator begin() const noexcept { return const_iterator(rows_.get()); }
+  const_iterator end() const noexcept { return const_iterator(top_); }
 
  private:
-  std::vector<ReadEntry> entries_;
+  /// Reserve `k` contiguous rows at the top and return the first.
+  ReadEntry* bump(std::size_t k) {
+    if (static_cast<std::size_t>(limit_ - top_) < k) grow(k);
+    ReadEntry* at = top_;
+    top_ += k;
+    return at;
+  }
+
+  /// Out of line: taken only until a descriptor's buffer has reached its
+  /// largest transaction, so it stays out of every inlined append.
+  [[gnu::cold, gnu::noinline]] void grow(std::size_t k) {
+    const std::size_t used = rows();
+    std::size_t cap = capacity() == 0 ? kInitialRows : 2 * capacity();
+    while (cap < used + k) cap *= 2;
+    auto bigger = std::make_unique<ReadEntry[]>(cap);
+    std::copy(rows_.get(), top_, bigger.get());
+    rows_ = std::move(bigger);
+    top_ = rows_.get() + used;
+    limit_ = rows_.get() + cap;
+  }
+
+  std::unique_ptr<ReadEntry[]> rows_;
+  ReadEntry* top_ = nullptr;    ///< next free row
+  ReadEntry* limit_ = nullptr;  ///< one past the buffer's last row
   std::size_t clauses_ = 0;
 };
 

@@ -1,6 +1,5 @@
 #include "sched/litmus.hpp"
 
-#include <cstdlib>
 #include <stdexcept>
 
 #include "sched/virtual_scheduler.hpp"
@@ -9,25 +8,11 @@ namespace semstm::sched {
 
 namespace {
 
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  // Read-only env access before any worker thread exists.
-  // NOLINTNEXTLINE(concurrency-mt-unsafe)
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v, &end, 10);
-  if (end == v || *end != '\0') {
-    throw std::invalid_argument(std::string(name) + ": not a number: " + v);
-  }
-  return parsed;
-}
-
 /// Debug-tier defaults: large enough to exhaust every 2-thread single-op
 /// test against every core (the TL2 family's instrumented commit plus the
 /// serial-gate enter/exit windows put WriteRead near 2e5 schedules), small
-/// enough that each such exploration stays under ~10 seconds. Nightly-style
-/// deep runs raise them via the environment; tests that cannot exhaust pass
-/// an explicit bounded ExploreOptions instead.
+/// enough that each such exploration stays under ~10 seconds. Deeper runs
+/// and tests that cannot exhaust pass an explicit ExploreOptions instead.
 constexpr std::uint64_t kDefaultMaxSchedules = 400000;
 constexpr std::uint64_t kDefaultMaxSteps = 2000;
 
@@ -88,12 +73,9 @@ std::vector<std::string> ExploreResult::outcome_set() const {
 
 ExploreResult explore(LitmusTest& test, const ExploreOptions& opts) {
   const std::uint64_t max_schedules =
-      opts.max_schedules != 0
-          ? opts.max_schedules
-          : env_u64("SEMSTM_LITMUS_MAX_SCHEDULES", kDefaultMaxSchedules);
+      opts.max_schedules != 0 ? opts.max_schedules : kDefaultMaxSchedules;
   const std::uint64_t max_steps =
-      opts.max_steps != 0 ? opts.max_steps
-                          : env_u64("SEMSTM_LITMUS_MAX_STEPS", kDefaultMaxSteps);
+      opts.max_steps != 0 ? opts.max_steps : kDefaultMaxSteps;
 
   ExploreResult result;
   std::vector<unsigned> prefix;  // branching-choice indices to replay

@@ -14,9 +14,9 @@
 // Budgets: a schedule longer than max_steps decisions is truncated (its
 // outcome is not recorded; its prefix is still backtracked, so bounded
 // exploration remains systematic), and exploration stops after
-// max_schedules runs. Both are overridable via the environment —
-// SEMSTM_LITMUS_MAX_SCHEDULES / SEMSTM_LITMUS_MAX_STEPS — so nightly runs
-// can dig deeper than the Debug-tier defaults without a rebuild.
+// max_schedules runs. Both come from ExploreOptions alone (0 picks the
+// built-in default), never from the environment, so a test's verdict does
+// not depend on the caller's shell; a deeper run passes larger budgets.
 #pragma once
 
 #include <cstdint>
@@ -45,9 +45,9 @@ class LitmusTest {
 };
 
 struct ExploreOptions {
-  /// Per-schedule decision budget before truncation (0 = env or default).
+  /// Per-schedule decision budget before truncation (0 = default).
   std::uint64_t max_steps = 0;
-  /// Total schedule budget, complete + truncated (0 = env or default).
+  /// Total schedule budget, complete + truncated (0 = default).
   std::uint64_t max_schedules = 0;
   /// Fiber stack size — litmus bodies are tiny, so default small.
   std::size_t stack_bytes = 128 * 1024;

@@ -28,8 +28,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -128,7 +130,7 @@ std::string replay_t_first(sched::LitmusTest& test, unsigned tid) {
 /// unlock sched_points) makes its schedule trees run into the hundreds of
 /// thousands, past the Debug-tier budget — those explorations stay
 /// systematic-but-bounded, while small trees still certify exhaustion.
-/// Raise SEMSTM_LITMUS_MAX_SCHEDULES for nightly-depth runs.
+/// A nightly-depth run passes a larger ExploreOptions::max_schedules.
 ExploreResult explore_bounded(sched::LitmusTest& test) {
   ExploreOptions opts;
   opts.max_schedules = 20000;
@@ -188,6 +190,33 @@ TEST_P(LitmusPerAlgo, WriteReadExhaustive) {
   EXPECT_GT(r.schedules, 1u) << "controller explored only one interleaving";
   EXPECT_EQ(r.outcome_set(), (std::vector<std::string>{"r=0", "r=1"}));
   expect_witnesses_replay(test, r);
+}
+
+/// The exploration budgets come from ExploreOptions alone: budget variables
+/// exported in the caller's shell must not cut a default-options
+/// exploration short of exhaustion (they once capped it).
+TEST(LitmusBudget, DefaultOptionsIgnoreTheEnvironment) {
+  const char* names[] = {"SEMSTM_LITMUS_MAX_SCHEDULES",
+                         "SEMSTM_LITMUS_MAX_STEPS"};
+  std::vector<std::optional<std::string>> saved;
+  for (const char* name : names) {
+    const char* v = std::getenv(name);
+    saved.push_back(v ? std::optional<std::string>(v) : std::nullopt);
+    ::setenv(name, "5", /*overwrite=*/1);
+  }
+  WriteReadLitmus test("norec");
+  const ExploreResult r = explore(test);
+  for (std::size_t i = 0; i < saved.size(); ++i) {
+    if (saved[i]) {
+      ::setenv(names[i], saved[i]->c_str(), 1);
+    } else {
+      ::unsetenv(names[i]);
+    }
+  }
+  EXPECT_TRUE(r.exhaustive);
+  EXPECT_EQ(r.truncated, 0u);
+  EXPECT_GT(r.schedules, 5u);
+  EXPECT_EQ(r.outcome_set(), (std::vector<std::string>{"r=0", "r=1"}));
 }
 
 // ---------------------------------------------------------------------------

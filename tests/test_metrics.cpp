@@ -23,10 +23,12 @@
 #include <string>
 #include <vector>
 
+#include "algos/stl2.hpp"
 #include "algos/tl2.hpp"
 #include "obs/conflict_map.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
+#include "sched/yieldpoint.hpp"
 #include "semstm.hpp"
 #include "util/rng.hpp"
 #include "workloads/bank.hpp"
@@ -404,6 +406,78 @@ TEST(AbortAttribution, Tl2ReadValidationCarriesOrecWithoutOwner) {
   const Orec& o = algo.orecs().of(x.word());
   EXPECT_EQ(info.orec, static_cast<std::uint32_t>(algo.orecs().index(&o)));
   EXPECT_EQ(info.owner, nullptr) << "the committed writer released its lock";
+}
+
+/// Counts busy-wait steps: spin_pause() reaches spin() only while a hook
+/// is installed, so a test can tell a waited-out lock from an instant
+/// abort on real threads.
+class SpinCounter final : public sched::YieldHook {
+ public:
+  void tick(std::uint64_t) override {}
+  void spin(std::uint64_t) override { ++spins; }
+  std::uint64_t spins = 0;
+};
+
+/// Installs a hook on this thread for one scope.
+struct HookScope {
+  explicit HookScope(sched::YieldHook* h) { sched::set_hook(h); }
+  ~HookScope() { sched::set_hook(nullptr); }
+  HookScope(const HookScope&) = delete;
+  HookScope& operator=(const HookScope&) = delete;
+};
+
+/// S-TL2's phase-1 slow path: a compare on a word whose orec another
+/// owner holds waits out the bounded wait instead of aborting at once, and
+/// only then aborts as a lock conflict naming the word, the orec index and
+/// the holder — for a cmp and for a cmp_or clause alike. Phase 2 (after a
+/// plain read) aborts on the same lock without waiting.
+TEST(AbortAttribution, Stl2Phase1CompareWaitsOutHeldOrecThenNamesOwner) {
+  Stl2Algorithm algo;
+  auto tx1 = algo.make_tx();
+  auto holder = algo.make_tx();
+  TVar<long> x(5), y(3), z(0);
+  Orec& o = algo.orecs().of(x.word());
+  ASSERT_NE(&o, &algo.orecs().of(y.word()));
+  ASSERT_NE(&o, &algo.orecs().of(z.word()));
+  ASSERT_TRUE(o.try_lock(holder.get()));
+  const auto ix = static_cast<std::uint32_t>(algo.orecs().index(&o));
+
+  const auto expect_lock_abort = [&](auto&& op, bool waits) {
+    SpinCounter counter;
+    obs::AbortInfo info;
+    {
+      HookScope scope(&counter);
+      tx1->begin();
+      [&] { EXPECT_THROW(op(), TxAbort); }();
+      info = tx1->last_abort();
+      tx1->rollback();
+    }
+    if (waits) {
+      EXPECT_GT(counter.spins, 0u) << "phase 1 must wait the lock out";
+    } else {
+      EXPECT_EQ(counter.spins, 0u) << "phase 2 must not wait";
+    }
+    EXPECT_EQ(info.cause, AbortCause::kWriteLockConflict);
+    EXPECT_EQ(info.addr, x.word());
+    EXPECT_EQ(info.orec, ix);
+    EXPECT_EQ(info.owner, holder.get());
+  };
+
+  expect_lock_abort([&] { (void)tx1->cmp(x.word(), Rel::SGT, 0); }, true);
+  expect_lock_abort(
+      [&] {
+        const CmpTerm clause[2] = {term<long>(y, Rel::EQ, 0),
+                                   term<long>(x, Rel::NEQ, 5)};
+        (void)tx1->cmp_or(clause, 2);
+      },
+      true);
+  expect_lock_abort(
+      [&] {
+        (void)tx1->read(z.word());  // enters phase 2
+        (void)tx1->cmp(x.word(), Rel::SGT, 0);
+      },
+      false);
+  o.unlock(holder.get());
 }
 
 // ---------------------------------------------------------------------------

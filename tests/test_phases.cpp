@@ -44,6 +44,32 @@ TEST_F(Stl2Phases, Phase1ExtendsAcrossConcurrentCommit) {
   EXPECT_EQ(out.unsafe_get(), 1);
 }
 
+// The same extension for composed clauses: a cmp_or whose operand was
+// committed past the start version extends the snapshot instead of
+// aborting.
+TEST_F(Stl2Phases, Phase1ClauseExtendsAcrossConcurrentCommit) {
+  TVar<long> x(5), y(5), z(0), out(0);
+
+  t1->begin();
+  const CmpTerm before[2] = {term<long>(x, Rel::SGT, 0),
+                             term<long>(y, Rel::SLT, 0)};
+  EXPECT_TRUE(t1->cmp_or(before, 2));
+
+  t2->begin();
+  t2->write(z.word(), 1);  // unrelated commit bumps the global clock
+  t2->commit();
+
+  const std::uint64_t validations = t1->stats.validations;
+  const CmpTerm after[2] = {term<long>(y, Rel::SLT, 0),
+                            term<long>(z, Rel::SGE, 0)};  // z: extend
+  EXPECT_TRUE(t1->cmp_or(after, 2));
+  EXPECT_EQ(t1->stats.validations, validations + 1)
+      << "the clause must extend the snapshot by validating the compare-set";
+  t1->write(out.word(), 1);
+  t1->commit();
+  EXPECT_EQ(out.unsafe_get(), 1);
+}
+
 // Phase 1 extension must abort when the concurrent commit flipped an
 // earlier compare's outcome — extension is validation, not amnesty.
 TEST_F(Stl2Phases, ExtensionAbortsOnFlippedOutcome) {

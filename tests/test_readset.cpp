@@ -190,6 +190,99 @@ TEST(ReadSet, ZeroTermClauseRecordsNothing) {
   EXPECT_TRUE(rs.empty());
 }
 
+// -- Buffer storage: rows are bump-appended into one growing buffer ---------
+
+TEST(ReadSet, GrowthKeepsEveryRowAndClauseBoundary) {
+  // Fill the first buffer to one row short, so a 3-term clause must take
+  // the growth path with its continuation rows past the old capacity.
+  ReadSet rs;
+  std::vector<tword> words(ReadSet::kInitialRows + 8);
+  for (std::size_t i = 0; i + 1 < ReadSet::kInitialRows; ++i) {
+    words[i].store(static_cast<word_t>(i));
+    ASSERT_TRUE(rs.append_value(&words[i], static_cast<word_t>(i)));
+  }
+  ASSERT_EQ(rs.capacity(), ReadSet::kInitialRows);
+  tword& a = words[ReadSet::kInitialRows];
+  tword& b = words[ReadSet::kInitialRows + 1];
+  tword& c = words[ReadSet::kInitialRows + 2];
+  const CmpTerm terms[3] = {
+      CmpTerm{&a, nullptr, 9, Rel::EQ},
+      CmpTerm{&b, nullptr, 9, Rel::EQ},
+      CmpTerm{&c, nullptr, 9, Rel::EQ},
+  };
+  rs.append_clause(terms, 3, /*outcome=*/false);
+  rs.append_cmp(&a, Rel::SGE, 0, /*outcome=*/true);
+  EXPECT_GT(rs.capacity(), ReadSet::kInitialRows);
+  EXPECT_EQ(rs.size(), ReadSet::kInitialRows + 1);
+  EXPECT_EQ(rs.rows(), ReadSet::kInitialRows + 3);
+
+  std::size_t i = 0;
+  for (auto it = rs.begin(); it != rs.end(); ++it, ++i) {
+    EXPECT_TRUE(it->holds()) << "clause " << i;
+    if (i + 1 < ReadSet::kInitialRows) {
+      EXPECT_EQ(it->addr(), &words[i]);
+      EXPECT_EQ(it->count(), 1u);
+    } else if (i + 1 == ReadSet::kInitialRows) {
+      ASSERT_EQ(it->count(), 3u);  // the straddling clause, intact
+      EXPECT_EQ(it->row(1).addr, &b);
+      EXPECT_EQ(it->row(2).addr, &c);
+      EXPECT_FALSE(it->expected());
+    } else {
+      EXPECT_EQ(it->addr(), &a);
+      EXPECT_TRUE(it->semantic());
+    }
+  }
+  EXPECT_EQ(i, ReadSet::kInitialRows + 1);
+  b.store(9);  // flips the straddling clause's OR, and only that clause
+  std::size_t failing = 0;
+  for (const auto clause : rs) failing += clause.holds() ? 0 : 1;
+  EXPECT_EQ(failing, 1u);
+}
+
+TEST(ReadSet, DedupWindowSpansGrowth) {
+  // The window scans the rows just before the append; a growth between a
+  // read and its re-read must not hide the earlier row.
+  ReadSet rs;
+  std::vector<tword> words(ReadSet::kInitialRows);
+  for (std::size_t i = 0; i < ReadSet::kInitialRows; ++i) {
+    ASSERT_TRUE(rs.append_value(&words[i], 0));
+  }
+  ASSERT_EQ(rs.rows(), rs.capacity());  // the next append grows
+  tword x{1};
+  EXPECT_TRUE(rs.append_value(&x, 1));
+  EXPECT_GT(rs.capacity(), ReadSet::kInitialRows);
+  EXPECT_FALSE(rs.append_value(&x, 1));
+  EXPECT_FALSE(rs.append_value(&words[ReadSet::kInitialRows - 1], 0))
+      << "a row copied by the growth is still inside the window";
+  EXPECT_EQ(rs.size(), ReadSet::kInitialRows + 1);
+}
+
+TEST(ReadSet, ClearKeepsBufferAndReappendYieldsOnlyNewClauses) {
+  ReadSet rs;
+  std::vector<tword> words(3 * ReadSet::kInitialRows);
+  for (auto& w : words) rs.append_value(&w, 0);
+  const std::size_t grown = rs.capacity();
+  ASSERT_GT(grown, ReadSet::kInitialRows);
+  rs.clear();
+  EXPECT_EQ(rs.capacity(), grown) << "clear() must keep the buffer";
+  EXPECT_TRUE(rs.empty());
+  EXPECT_EQ(rs.rows(), 0u);
+
+  tword a{4};
+  tword b{5};
+  const CmpTerm terms[2] = {CmpTerm{&a, nullptr, 4, Rel::NEQ},
+                            CmpTerm{&b, nullptr, 5, Rel::EQ}};
+  EXPECT_TRUE(rs.append_value(&words[0], 0))
+      << "pre-clear rows must not dedup a post-clear read";
+  rs.append_clause(terms, 2, /*outcome=*/true);
+  EXPECT_EQ(rs.size(), 2u);
+  EXPECT_EQ(rs.rows(), 3u);
+  std::vector<const tword*> heads;
+  for (const auto clause : rs) heads.push_back(clause.addr());
+  EXPECT_EQ(heads, (std::vector<const tword*>{&words[0], &a}));
+  EXPECT_EQ(rs.capacity(), grown);
+}
+
 TEST(ReadSet, ClearResets) {
   ReadSet rs;
   tword x{1};
