@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "containers/tarray.hpp"
+#include "runtime/readset.hpp"
 #include "sched/thread_runner.hpp"
 #include "semstm.hpp"
 #include "tmir/interp.hpp"
@@ -175,6 +176,68 @@ BENCHMARK(BM_CompareSetValidation<2>)->RangeMultiplier(4)->Range(4, 1024)
     ->Complexity(benchmark::oN);
 BENCHMARK(BM_CompareSetValidation<4>)->RangeMultiplier(4)->Range(4, 1024)
     ->Complexity(benchmark::oN);
+
+/// One NOrec-family validation pass: ReadSet::first_failing with
+/// NorecCoreT::validate's per-clause tick and count, over 256 clauses that
+/// all hold, shaped like what a workload records. Arg 0: hashtable under
+/// NOrec, value rows of the probed cells' states and keys. Arg 1:
+/// hashtable under S-NOrec, per probed cell the FREE guard (EQ, observed
+/// false) and the 2-term `state == REMOVED || key != probe` clause. Arg 2:
+/// bank-hot under S-NOrec, overdraft SGE compares mixed with value rows.
+/// No transaction bench here validates: one thread never moves the
+/// seqlock, so this is the only single-thread view of the walk.
+void BM_ValidatePass(benchmark::State& state) {
+  constexpr std::size_t kClauses = 256;
+  constexpr long kBusy = 1;
+  constexpr long kRemoved = 2;
+  const auto shape = state.range(0);
+  Rng rng(0x7A11DA7EULL);
+  std::vector<tword> cell_state(kClauses);
+  std::vector<tword> key(kClauses);
+  for (std::size_t i = 0; i < kClauses; ++i) {
+    cell_state[i].store(to_word<long>(rng.percent(10) ? kRemoved : kBusy));
+    key[i].store(rng.below(4096));
+  }
+  ReadSet rs;
+  for (std::size_t i = 0; rs.size() < kClauses; ++i) {
+    tword& s = cell_state[i];
+    tword& k = key[i];
+    if (shape == 0) {
+      rs.append_value(&s, s.load());
+      rs.append_value(&k, k.load());
+    } else if (shape == 1) {
+      // Every tenth probed key matches: that clause records false.
+      const word_t probe = rng.percent(10) ? k.load() : k.load() + 1;
+      const CmpTerm clause[2] = {
+          {&s, nullptr, to_word<long>(kRemoved), Rel::EQ},
+          {&k, nullptr, probe, Rel::NEQ},
+      };
+      rs.append_cmp(&s, Rel::EQ, 0, /*outcome=*/false);  // state == FREE
+      rs.append_clause(clause, 2,
+                       clause[0].eval_now() || clause[1].eval_now());
+    } else if (rng.percent(50)) {
+      const auto amount = to_word<long>(rng.between(1, 100));
+      rs.append_cmp(&k, Rel::SGE, amount,
+                    eval(Rel::SGE, k.load(), amount));  // balance >= amount
+    } else {
+      rs.append_value(&k, k.load());
+    }
+  }
+  std::uint64_t entries = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rs.first_failing([&] {
+      sched::tick(sched::Cost::kValidateEntry);
+      ++entries;
+    }));
+  }
+  benchmark::DoNotOptimize(entries);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kClauses));
+  static const char* labels[] = {"hashtable/norec", "hashtable/snorec",
+                                 "bank-hot/snorec"};
+  state.SetLabel(labels[shape]);
+}
+BENCHMARK(BM_ValidatePass)->DenseRange(0, 2);
 
 // ---------------------------------------------------------------------------
 // Real-thread commit scalability (§4.16): throughput of the GV4 clock +

@@ -13,6 +13,11 @@
 // by *shadowing*, never overriding. NorecCore is the sealed plain-NOrec
 // instantiation; the virtual NorecTx of old survives as
 // TxFacade<NorecCore>.
+//
+// Validation is one ReadSet::first_failing() walk per pass (see
+// runtime/readset.hpp): plain-read rows and EQ/NEQ compare/clause rows take
+// its switch-free, constant-stride fast path, so S-NOrec's semantic rows
+// validate at the per-clause cost of NOrec's value rows.
 #pragma once
 
 #include <memory>
@@ -132,10 +137,12 @@ class NorecCoreT : public TxCoreBase {
   }
 
   /// Alg. 6 Validate (lines 1-9): semantic validation of the read-set at a
-  /// stable (even) timestamp; aborts the transaction on failure. A failing
-  /// plain-read entry is a value-validation abort; a failing cmp/clause
-  /// entry means the relation's outcome flipped — the distinction S-NOrec's
-  /// evaluation story rests on.
+  /// stable (even) timestamp, one ReadSet::first_failing walk that charges
+  /// kValidateEntry per clause up to and including the first failing one;
+  /// aborts the transaction on failure. A failing plain-read entry is a
+  /// value-validation abort; a failing cmp/clause entry means the
+  /// relation's outcome flipped — the distinction S-NOrec's evaluation
+  /// story rests on.
   ///
   /// Conflict cartography: the abort carries only the clause's address —
   /// NOrec detects conflicts by value under a single global seqlock, so
@@ -152,14 +159,14 @@ class NorecCoreT : public TxCoreBase {
     for (;;) {
       const std::uint64_t time = shared_.lock().sample_even();
       ++stats.validations;
-      for (const auto clause : reads_) {
-        sched::tick(sched::Cost::kValidateEntry);
-        ++stats.validate_entries;
-        if (!clause.holds()) {
-          abort_tx(clause.semantic() ? obs::AbortCause::kCmpRevalidation
-                                     : obs::AbortCause::kReadValidation,
-                   clause.addr());
-        }
+      if (const ReadEntry* head = reads_.first_failing([this] {
+            sched::tick(sched::Cost::kValidateEntry);
+            ++stats.validate_entries;
+          })) {
+        const ReadSet::Clause clause(head);
+        abort_tx(clause.semantic() ? obs::AbortCause::kCmpRevalidation
+                                   : obs::AbortCause::kReadValidation,
+                 clause.addr());
       }
       if (time == shared_.lock().load()) return time;
       // A writer committed mid-validation; retry at the new timestamp.

@@ -29,6 +29,15 @@
 //    transactions: an append is a capacity compare and a 32-byte store,
 //    and only the (cold, out-of-line) growth path allocates. clear() keeps
 //    the buffer, so a descriptor reaches its steady-state capacity once.
+//
+// Validation walk. NOrec-family validation is one first_failing() pass.
+// A 1- or 2-term clause whose terms compare a word EQ/NEQ against an
+// immediate — every plain read, and the hashtable probe's guards and
+// clauses — is evaluated without the relation switch, as
+// `(load == operand) != (rel == NEQ)` per term, and the cursor then
+// advances by a constant 1 or 2 rows, so the next clause's loads need not
+// wait on this row's nterms. Ordered relations, address–address terms and
+// 3-term clauses go through Clause::holds().
 #pragma once
 
 #include <algorithm>
@@ -207,7 +216,44 @@ class ReadSet {
   const_iterator begin() const noexcept { return const_iterator(rows_.get()); }
   const_iterator end() const noexcept { return const_iterator(top_); }
 
+  /// One validation pass in append order. Calls `on_clause()` once per
+  /// clause, before evaluating it, and stops at the first clause that no
+  /// longer evaluates to its recorded outcome: returns its head row
+  /// (nullptr when every clause holds). So a pass that fails on the k-th
+  /// clause calls `on_clause` exactly k times.
+  template <typename OnClause>
+  const ReadEntry* first_failing(OnClause&& on_clause) const {
+    const ReadEntry* p = rows_.get();
+    const ReadEntry* const end = top_;
+    while (p != end) {
+      on_clause();
+      if (immediate_eq(p[0]) & (p->nterms == 1)) {
+        if (eq_term_now(p[0]) != p->expected) return p;
+        p += 1;
+      } else if (p->nterms == 2 && (immediate_eq(p[0]) & immediate_eq(p[1]))) {
+        if ((eq_term_now(p[0]) | eq_term_now(p[1])) != p->expected) return p;
+        p += 2;
+      } else {
+        if (!Clause(p).holds()) return p;
+        p += p->nterms;
+      }
+    }
+    return nullptr;
+  }
+
  private:
+  /// An EQ/NEQ term against an immediate operand: the fast-path shape.
+  static bool immediate_eq(const ReadEntry& r) noexcept {
+    return (r.rhs_addr == nullptr) & ((r.rel == Rel::EQ) | (r.rel == Rel::NEQ));
+  }
+
+  /// eval(r.rel, *r.addr, r.operand) for an immediate_eq term, without
+  /// the switch: NEQ is EQ's negation.
+  static bool eq_term_now(const ReadEntry& r) noexcept {
+    return (r.addr->load(std::memory_order_acquire) == r.operand) !=
+           (r.rel == Rel::NEQ);
+  }
+
   /// Reserve `k` contiguous rows at the top and return the first.
   ReadEntry* bump(std::size_t k) {
     if (static_cast<std::size_t>(limit_ - top_) < k) grow(k);

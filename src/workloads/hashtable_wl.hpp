@@ -78,6 +78,9 @@ class HashtableWorkload final : public MonoWorkload<HashtableWorkload> {
   }
 
   const TOpenHashTable& table() const noexcept { return table_; }
+  /// Probing is a transactional (non-const) operation, so a caller that
+  /// checks the table after a run needs this one.
+  TOpenHashTable& table() noexcept { return table_; }
 
  private:
   Params p_;

@@ -480,6 +480,108 @@ TEST(AbortAttribution, Stl2Phase1CompareWaitsOutHeldOrecThenNamesOwner) {
   o.unlock(holder.get());
 }
 
+/// Counts the kValidateEntry charges a transaction makes (the only
+/// 1-tick cost a TM operation pays).
+class ValidateEntryCounter final : public sched::YieldHook {
+ public:
+  void tick(std::uint64_t cost) override {
+    if (cost == sched::Cost::kValidateEntry) ++entries;
+  }
+  std::uint64_t entries = 0;
+};
+
+/// NOrec-family validation walks the read-set in append order and stops
+/// at the first failing clause: a pass failing on clause k charges exactly
+/// k kValidateEntry ticks, adds k to validate_entries, and aborts naming
+/// the clause's head address — as a value failure for a plain read's row,
+/// as a compare-set revalidation failure for a cmp or clause row. The
+/// failing row takes each shape the walk tells apart: a value row, an
+/// EQ/NEQ cmp and 2-term clause (switch-free path), an ordered cmp and a
+/// 3-term clause (Clause::holds path).
+TEST(AbortAttribution, NorecFamilyValidationChargesClausesUpToTheFailingOne) {
+  constexpr std::uint64_t kFailingClause = 5;
+  const auto neg = [](long v) { return to_word<long>(v); };
+  struct Case {
+    const char* algo;
+    const char* row;
+    word_t flip_to;  ///< x's new value, committed by another transaction
+    AbortCause cause;
+    bool names_y;  ///< the failing clause's head term is on y, not x
+  };
+  const Case cases[] = {
+      {"norec", "value", 9, AbortCause::kReadValidation, false},
+      {"snorec", "value", 9, AbortCause::kReadValidation, false},
+      {"snorec", "neq", 9, AbortCause::kCmpRevalidation, false},
+      {"snorec", "sgt", neg(-1), AbortCause::kCmpRevalidation, false},
+      {"snorec", "clause2", 9, AbortCause::kCmpRevalidation, true},
+      {"snorec", "clause3", 9, AbortCause::kCmpRevalidation, true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.algo) + " " + c.row);
+    auto algo = make_algorithm(c.algo);
+    auto tx = algo->make_tx();
+    auto writer = algo->make_tx();
+    TVar<long> h0(1), h1(2), h2(3), h3(4), x(5), y(3), a0(1), a1(2), z(0);
+
+    tx->begin();
+    // Clauses 1..4 hold (S-NOrec records a value row, an ordered cmp, an
+    // EQ cmp observed false and a 2-term clause; NOrec four value rows).
+    (void)tx->read(h0.word());
+    (void)tx->cmp(h1.word(), Rel::SGT, 0);
+    (void)tx->cmp(h2.word(), Rel::EQ, 7);
+    if (std::string(c.algo) == "snorec") {
+      const CmpTerm held[2] = {term<long>(h3, Rel::EQ, 9),
+                               term<long>(h3, Rel::NEQ, 0)};
+      (void)tx->cmp_or(held, 2);
+    } else {
+      (void)tx->read(h3.word());
+    }
+    // Clause 5 observes x = 5 and fails once x changes.
+    const std::string row = c.row;
+    if (row == "value") {
+      (void)tx->read(x.word());
+    } else if (row == "neq") {
+      EXPECT_TRUE(tx->cmp(x.word(), Rel::NEQ, 9));
+    } else if (row == "sgt") {
+      EXPECT_TRUE(tx->cmp(x.word(), Rel::SGT, 0));
+    } else if (row == "clause2") {
+      const CmpTerm t[2] = {term<long>(y, Rel::EQ, 99),
+                            term<long>(x, Rel::NEQ, 9)};
+      EXPECT_TRUE(tx->cmp_or(t, 2));
+    } else {
+      const CmpTerm t[3] = {term<long>(y, Rel::EQ, 99),
+                            term<long>(y, Rel::SGT, 100),
+                            term<long>(x, Rel::NEQ, 9)};
+      EXPECT_TRUE(tx->cmp_or(t, 3));
+    }
+    // Clauses after the failing one are never evaluated.
+    (void)tx->read(a0.word());
+    (void)tx->cmp(a1.word(), Rel::NEQ, 3);
+
+    writer->begin();
+    writer->write(x.word(), c.flip_to);
+    writer->commit();  // moves the seqlock: tx's next read validates
+
+    const TxStats before = tx->stats;
+    ValidateEntryCounter counter;
+    obs::AbortInfo info;
+    {
+      HookScope scope(&counter);
+      [&] { EXPECT_THROW((void)tx->read(z.word()), TxAbort); }();
+      info = tx->last_abort();
+      tx->rollback();
+    }
+    EXPECT_EQ(counter.entries, kFailingClause);
+    EXPECT_EQ(tx->stats.validate_entries - before.validate_entries,
+              kFailingClause);
+    EXPECT_EQ(tx->stats.validations - before.validations, 1u);
+    EXPECT_EQ(info.cause, c.cause);
+    EXPECT_EQ(info.addr, c.names_y ? y.word() : x.word());
+    EXPECT_EQ(info.orec, obs::kNoOrec);
+    EXPECT_EQ(info.owner, nullptr);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Gated end-to-end: hot-site attribution and windowed metrics through the
 // driver, against a bank run with known hot accounts.

@@ -1,9 +1,12 @@
 // Unit tests for read-set / compare-set entries and semantic validation.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "runtime/readset.hpp"
+#include "util/rng.hpp"
 
 namespace semstm {
 namespace {
@@ -292,6 +295,115 @@ TEST(ReadSet, ClearResets) {
   EXPECT_EQ(rs.size(), 0u);
   // Post-clear, the dedup window must not see pre-clear entries.
   EXPECT_TRUE(rs.append_value(&x, 1));
+}
+
+// -- The validation walk (first_failing) -----------------------------------
+
+/// The walk's reference semantics: clause by clause through
+/// Clause::holds(), counting the clauses visited up to and including the
+/// first failing one.
+const ReadEntry* first_failing_by_clause(const ReadSet& rs,
+                                         std::size_t& visited) {
+  visited = 0;
+  for (const auto clause : rs) {
+    ++visited;
+    if (!clause.holds()) return &clause.row(0);
+  }
+  return nullptr;
+}
+
+TEST(ReadSet, FirstFailingMatchesClauseByClauseHolds) {
+  // Random read-sets over a few words: value rows, cmp rows and cmp2 rows
+  // under all ten relations, and 1-3-term clauses mixing immediate and
+  // address-address terms, each recorded with its true outcome or, in
+  // half the trials, one time in eight with the opposite one (a stale
+  // value for a value row). Then memory is mutated. The walk must stop at
+  // the same clause as the reference and call its callback once per
+  // clause visited.
+  const word_t pool[] = {
+      0,
+      1,
+      2,
+      to_word<std::int64_t>(-1),
+      to_word<std::int64_t>(std::numeric_limits<std::int64_t>::min()),
+      to_word<std::int64_t>(std::numeric_limits<std::int64_t>::max()),
+  };
+  constexpr std::size_t kPool = sizeof(pool) / sizeof(pool[0]);
+  constexpr std::size_t kWords = 5;
+  Rng rng(0xC1A05E5EEDULL);
+  const auto any_value = [&] { return pool[rng.below(kPool)]; };
+  const auto any_rel = [&] { return static_cast<Rel>(rng.below(10)); };
+  std::size_t failed = 0;
+  std::size_t held = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::vector<tword> words(kWords);
+    for (auto& w : words) w.store(any_value());
+    const auto any_word = [&] { return &words[rng.below(kWords)]; };
+    const bool honest = rng.percent(50);
+    const auto stale = [&] { return !honest && rng.below(8) == 0; };
+    const auto outcome = [&](bool now) { return stale() ? !now : now; };
+    ReadSet rs;
+    const auto clauses = rng.below(48);
+    for (std::uint64_t c = 0; c < clauses; ++c) {
+      switch (rng.below(4)) {
+        case 0: {
+          tword* w = any_word();
+          rs.append_value(w, stale() ? any_value() : w->load());
+          break;
+        }
+        case 1: {
+          const CmpTerm t{any_word(), nullptr, any_value(), any_rel()};
+          rs.append_cmp(t.addr, t.rel, t.operand, outcome(t.eval_now()));
+          break;
+        }
+        case 2: {
+          const CmpTerm t{any_word(), any_word(), 0, any_rel()};
+          rs.append_cmp2(t.addr, t.rel, t.rhs_addr, outcome(t.eval_now()));
+          break;
+        }
+        default: {
+          CmpTerm terms[ReadSet::kMaxTerms];
+          const auto n = 1 + rng.below(ReadSet::kMaxTerms);
+          bool now = false;
+          for (std::uint64_t i = 0; i < n; ++i) {
+            terms[i] = CmpTerm{any_word(),
+                               rng.below(3) == 0 ? any_word() : nullptr,
+                               any_value(), any_rel()};
+            now = now || terms[i].eval_now();
+          }
+          rs.append_clause(terms, n, outcome(now));
+          break;
+        }
+      }
+    }
+    for (auto m = rng.below(3); m > 0; --m) any_word()->store(any_value());
+
+    std::size_t visited = 0;
+    const ReadEntry* expected = first_failing_by_clause(rs, visited);
+    std::size_t calls = 0;
+    const ReadEntry* got = rs.first_failing([&] { ++calls; });
+    ASSERT_EQ(got, expected) << "trial " << trial;
+    ASSERT_EQ(calls, visited) << "trial " << trial;
+    ++(got != nullptr ? failed : held);
+  }
+  // Both verdicts are exercised, not just one.
+  EXPECT_GT(failed, 1000u);
+  EXPECT_GT(held, 500u);
+}
+
+TEST(ReadSet, FirstFailingReadsNoRowPastAFullBuffer) {
+  // 1-row clauses up to the buffer's last row: the walk's 2-term shape
+  // test must not read the row after a 1-row clause (ASan builds would
+  // report the over-read).
+  ReadSet rs;
+  tword x{5};
+  for (std::size_t i = 0; i < ReadSet::kInitialRows; ++i) {
+    rs.append_cmp(&x, Rel::SGT, 0, /*outcome=*/true);
+  }
+  ASSERT_EQ(rs.rows(), rs.capacity());
+  std::size_t calls = 0;
+  EXPECT_EQ(rs.first_failing([&] { ++calls; }), nullptr);
+  EXPECT_EQ(calls, ReadSet::kInitialRows);
 }
 
 }  // namespace

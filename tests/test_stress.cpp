@@ -11,6 +11,7 @@
 
 #include "semstm.hpp"
 #include "workloads/driver.hpp"
+#include "workloads/hashtable_wl.hpp"
 
 namespace semstm {
 namespace {
@@ -175,6 +176,33 @@ TEST_P(Stress, AbortAccountingPartitionsExactly) {
   EXPECT_EQ(r.stats.starts,
             r.stats.commits + r.stats.aborts + r.stats.exceptions);
   w.verify();
+}
+
+/// The hashtable workload's transactions (10 inserts/removes/lookups, each
+/// an Algorithm 2 probe) on a small table holding 85% of its key space,
+/// so probes run long and overlap other threads' commits. The S-variants
+/// probe with composed cmp_or clauses, so their validation walks 2-term
+/// clause rows while other threads commit. Afterwards every key found
+/// must account for every occupied cell: a lost, duplicated or foreign
+/// key breaks it.
+TEST_P(Stress, HashtableKeysFoundMatchCellsOccupied) {
+  const std::string& algo = std::get<0>(GetParam());
+  HashtableWorkload::Params p;
+  p.capacity = 256;
+  p.key_space = 224;
+  HashtableWorkload w(p, /*semantic=*/algo == "snorec" || algo == "stl2");
+  const RunResult r = run_workload(config(4, 300), w);
+  EXPECT_EQ(r.stats.commits, 4u * 300u);
+
+  auto cgl = make_algorithm("cgl");
+  ThreadCtx ctx(cgl->make_tx());
+  CtxBinder bind(ctx);
+  std::size_t found = 0;
+  for (std::int64_t k = 0; k < static_cast<std::int64_t>(p.key_space); ++k) {
+    found += atomically([&](Tx& tx) { return w.table().contains(tx, k); });
+  }
+  EXPECT_EQ(found, w.table().unsafe_size());
+  EXPECT_GT(found, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
